@@ -4,14 +4,14 @@
 //! posting terms and intersections the plan memo eliminates; this bench
 //! measures what selection and plan execution cost end to end on CarDB
 //! at the Figure 3/4 sample sizes — (a) one-shot selection through the
-//! legacy hash/range executor vs the posting path, and (b) a whole
+//! posting path, and (b) a whole
 //! relaxation plan executed query-at-a-time vs through one shared
 //! [`PlanExecutor`]. Measured numbers are recorded in
 //! `results/BENCH_postings.json`.
 
 use aimq_catalog::{AttrId, Predicate, SelectionQuery};
 use aimq_data::CarDb;
-use aimq_storage::{execute_rows, execute_rows_legacy, PlanExecutor, Relation, RowId};
+use aimq_storage::{execute_rows, PlanExecutor, Relation, RowId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -54,21 +54,13 @@ fn workload(n: usize) -> (Relation, Vec<SelectionQuery>) {
     (relation, queries)
 }
 
-/// One-shot selection: the legacy hash/range executor vs the posting
-/// path, over the same mixed query set (fully bound conjunctions and
-/// their single-attribute relaxations).
+/// One-shot selection through the posting path over a mixed query set
+/// (fully bound conjunctions and their single-attribute relaxations).
 fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection_executor");
     group.sample_size(10);
     for n in SIZES {
         let (relation, queries) = workload(n);
-        group.bench_with_input(BenchmarkId::new("legacy", n), &n, |b, _| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(execute_rows_legacy(&relation, black_box(q)));
-                }
-            });
-        });
         group.bench_with_input(BenchmarkId::new("postings", n), &n, |b, _| {
             b.iter(|| {
                 for q in &queries {

@@ -1,7 +1,8 @@
 //! Runs the **posting-list executor** extension: CarDB relaxation plans
 //! at the Figure 3/4 sample ladder, executed by the shared
-//! `PlanExecutor`, the one-shot posting path and the legacy executor —
-//! reporting byte-identity and the posting work the plan memo shared.
+//! `PlanExecutor` and the one-shot posting path, checked against a naive
+//! full scan — reporting byte-identity and the posting work the plan
+//! memo shared.
 use aimq_eval::{experiments::postings, Scale};
 
 fn main() {

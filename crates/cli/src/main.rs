@@ -556,8 +556,13 @@ mod tests {
         }
     }
 
+    /// A fresh CSV per call: tests run in parallel and each removes its
+    /// file when done, so a shared path would race.
     fn write_mini_csv() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("aimq_cli_test_{}.csv", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("aimq_cli_test_{}_{n}.csv", std::process::id()));
         std::fs::write(
             &path,
             "Make,Model,Price\n\

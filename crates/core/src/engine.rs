@@ -35,6 +35,9 @@ pub struct EngineConfig {
     /// for relaxation-found answers, so `target_relevant <= |base set|`
     /// still relaxes (an earlier revision counted the base set and
     /// silently short-circuited after at most one relaxed answer).
+    /// While set, probes go to the source query-at-a-time rather than as
+    /// one [`WebDatabase::try_query_plan`] per base tuple: the early stop
+    /// can end a plan mid-tuple.
     pub target_relevant: Option<usize>,
     /// Cap on relaxation queries issued per base tuple. Wide schemas
     /// (CensusDB has 13 attributes) make the multi-attribute combination
@@ -50,17 +53,6 @@ pub struct EngineConfig {
     /// default; turn off to reproduce the non-deduplicating engine (the
     /// eval harness does, to measure the saving).
     pub dedup_probes: bool,
-    /// Hand each base tuple's compiled probe plan to the source in one
-    /// [`WebDatabase::try_query_plan`] call instead of query-at-a-time.
-    /// Sources that support shared-plan evaluation (the in-memory
-    /// posting-list executor) evaluate the plan's common subexpressions
-    /// once; everything else inherits the sequential default, so the
-    /// per-query traffic, fault schedule positions, memo behavior and
-    /// answers are byte-identical either way. Automatically disabled
-    /// while [`EngineConfig::target_relevant`] is set: the early stop
-    /// can end a plan mid-tuple, and prefetching would issue probes a
-    /// sequential engine never would.
-    pub batch_plans: bool,
 }
 
 impl Default for EngineConfig {
@@ -73,7 +65,6 @@ impl Default for EngineConfig {
             target_relevant: None,
             max_steps_per_tuple: 256,
             dedup_probes: true,
-            batch_plans: true,
         }
     }
 }
@@ -100,7 +91,6 @@ impl EngineConfig {
                 Json::Num(self.max_steps_per_tuple as f64),
             ),
             ("dedup_probes", Json::Bool(self.dedup_probes)),
-            ("batch_plans", Json::Bool(self.batch_plans)),
         ])
     }
 
@@ -139,11 +129,6 @@ impl EngineConfig {
                     next.dedup_probes = value
                         .as_bool()
                         .ok_or_else(|| "`dedup_probes` must be a boolean".to_string())?;
-                }
-                "batch_plans" => {
-                    next.batch_plans = value
-                        .as_bool()
-                        .ok_or_else(|| "`batch_plans` must be a boolean".to_string())?;
                 }
                 other => return Err(format!("unknown config knob `{other}`")),
             }
@@ -524,6 +509,12 @@ impl ProbeMemo {
         self.pages.get(key).cloned()
     }
 
+    /// Whether [`ProbeMemo::replay`] would return a page for `key`,
+    /// without cloning it.
+    pub(crate) fn contains(&self, key: &SelectionQuery) -> bool {
+        self.enabled && self.pages.contains_key(key)
+    }
+
     /// Record a successful page under the canonical `key`. First success
     /// wins; later identical probes replay it.
     pub(crate) fn record(&mut self, key: SelectionQuery, page: &QueryPage) {
@@ -605,7 +596,7 @@ pub fn answer_imprecise_query(
     // (deterministic fault schedules key on query *position*). Under the
     // early-stop target the sequential loop may end a plan mid-tuple, so
     // batching stands down there.
-    let batch = config.batch_plans && config.target_relevant.is_none();
+    let batch = config.target_relevant.is_none();
     'outer: for (base_index, t) in expanded_tuples.enumerate() {
         if degradation.source_lost {
             abandoned_at = Some(base_index);
@@ -637,7 +628,7 @@ pub fn answer_imprecise_query(
             let mut pending: Vec<SelectionQuery> = Vec::new();
             for probe in &probes {
                 if probe.query.predicates().is_empty()
-                    || memo.replay(&probe.query).is_some()
+                    || memo.contains(&probe.query)
                     || pending.contains(&probe.query)
                 {
                     continue;
@@ -892,9 +883,12 @@ mod tests {
         let mut off = ProbeMemo::disabled();
         off.record(q.clone(), &page);
         assert!(off.replay(&q).is_none());
+        assert!(!off.contains(&q));
         let mut on = ProbeMemo::new(true);
         assert!(on.replay(&q).is_none());
+        assert!(!on.contains(&q));
         on.record(q.clone(), &page);
+        assert!(on.contains(&q));
         assert_eq!(on.replay(&q), Some(page));
     }
 }
@@ -1057,13 +1051,13 @@ mod behavior_tests {
         assert_eq!(result.stats.relevant_found, 1 + 2);
     }
 
-    /// Tentpole: handing whole plans to the source
-    /// (`EngineConfig::batch_plans` → `try_query_plan`) is a pure
-    /// executor swap — answers, degradation counters and source-visible
-    /// traffic are byte-identical to the query-at-a-time engine, for
-    /// both dedup settings, on a clean source and through a seeded
-    /// fault-injecting decorator (whose `Sequenced` schedule keys fate
-    /// on query *position*, so any reordering would diverge).
+    /// Handing whole plans to the source (`try_query_plan`, the default
+    /// path) is a pure executor swap — answers, degradation counters and
+    /// source-visible traffic are byte-identical to the query-at-a-time
+    /// engine, for both dedup settings, on a clean source and through a
+    /// seeded fault-injecting decorator (whose `Sequenced` schedule keys
+    /// fate on query *position*, so any reordering would diverge). An
+    /// early-stop target that can never fire forces the sequential path.
     #[test]
     fn batched_plans_match_sequential_engine() {
         use aimq_storage::{FaultInjectingWebDb, FaultProfile};
@@ -1075,7 +1069,7 @@ mod behavior_tests {
                 t_sim: 0.05,
                 top_k: 10,
                 dedup_probes: dedup,
-                batch_plans: batch,
+                target_relevant: if batch { None } else { Some(usize::MAX) },
                 ..EngineConfig::default()
             };
             let result = if faults {

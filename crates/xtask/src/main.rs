@@ -387,7 +387,7 @@ fn annotate(args: Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let doc = match xtask::json::parse(&text) {
+    let doc = match aimq_catalog::Json::parse(&text) {
         Ok(doc) => doc,
         Err(err) => {
             eprintln!("error: {path} is not valid lint JSON: {err}");

@@ -145,8 +145,8 @@ fn l7_upward_suppressed_twin_is_clean() {
 fn json_report_round_trips_into_ci_annotations() {
     // The same path CI takes: lint --json, parse, emit ::error lines.
     let report = lint("l7_upward");
-    let encoded = xtask::json::to_json(&report);
-    let doc = xtask::json::parse(&encoded).expect("lint JSON parses back");
+    let encoded = xtask::json::to_json(&report).to_string();
+    let doc = aimq_catalog::Json::parse(&encoded).expect("lint JSON parses back");
     let annotations = xtask::json::annotations(&doc).expect("annotations render");
     assert_eq!(
         annotations

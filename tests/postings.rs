@@ -1,13 +1,12 @@
 //! End-to-end guarantees of the posting-list executor and shared-plan
-//! evaluation (ISSUE 8):
+//! evaluation:
 //!
 //! 1. **executor identity** — over generated relations (categorical +
-//!    numeric columns, nulls and NaN rows) and generated selection
+//!    numeric columns, nulls, NaN and `±∞` rows) and generated selection
 //!    queries (duplicate predicates on one attribute included), the
-//!    posting-list executor, the legacy hash/range executor and a naive
-//!    full scan return byte-identical row sets, and a shared
-//!    [`PlanExecutor`] answers every plan member exactly like the
-//!    one-shot path;
+//!    posting-list executor and a naive full scan return byte-identical
+//!    row sets, and a shared [`PlanExecutor`] answers every plan member
+//!    exactly like the one-shot path;
 //! 2. **decorator transparency** — `try_query_plan` through the
 //!    `Cached(Resilient(FaultInjecting(InMemory)))` stack returns
 //!    exactly what the sequential `try_query` loop returns (pages,
@@ -16,9 +15,10 @@
 //! 3. **federation transparency** — a replicated federation answers
 //!    plans exactly like its per-query loop, and (benign members) like
 //!    the single-source union relation, for every replication factor;
-//! 4. **engine identity** — `EngineConfig::batch_plans` is invisible
-//!    end to end: ranked answers and `DegradationReport` are
-//!    byte-identical with batching on and off through the full
+//! 4. **engine identity** — handing each base tuple's plan to the
+//!    source in one `try_query_plan` call is invisible end to end:
+//!    ranked answers, `DegradationReport` and source meters are
+//!    byte-identical to query-at-a-time issuance through the full
 //!    decorator stack under every fault profile.
 
 use std::sync::OnceLock;
@@ -29,9 +29,9 @@ use aimq_suite::catalog::{
 use aimq_suite::data::CarDb;
 use aimq_suite::engine::{AimqSystem, AnswerSet, EngineConfig, TrainConfig};
 use aimq_suite::storage::{
-    execute_rows, execute_rows_legacy, CachedWebDb, FaultInjectingWebDb, FaultProfile,
-    FederatedWebDb, FederationPolicy, InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation,
-    ResilientWebDb, RetryPolicy, RowId, SourceSpec, WebDatabase,
+    execute_rows, CachedWebDb, FaultInjectingWebDb, FaultProfile, FederatedWebDb, FederationPolicy,
+    InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation, ResilientWebDb, RetryPolicy,
+    RowId, SourceSpec, WebDatabase,
 };
 use proptest::prelude::*;
 
@@ -63,13 +63,12 @@ fn cat_value(code: u8) -> Value {
     }
 }
 
-/// Numeric *data* pool: finite values only (the legacy executor's
-/// half-open range drivers are exact on finite data), but with signed
-/// zeros, repeats and `Null`/NaN rows — NaN rows are excluded from the
-/// sorted index at build time and decode to `Null`, so every executor
-/// must agree they match nothing.
+/// Numeric *data* pool: signed zeros, repeats, `±∞` and `Null`/NaN
+/// rows — NaN rows are excluded from the sorted index at build time and
+/// decode to `Null`, so the executor must agree with the scan that they
+/// match nothing.
 fn num_data_value(code: u8) -> Value {
-    match code % 9 {
+    match code % 11 {
         0 => Value::num(-1e9),
         1 => Value::num(-3.0),
         2 => Value::num(-0.0),
@@ -78,6 +77,8 @@ fn num_data_value(code: u8) -> Value {
         5 => Value::num(1.5),
         6 => Value::num(42.0),
         7 => Value::Null,
+        8 => Value::num(f64::INFINITY),
+        9 => Value::num(f64::NEG_INFINITY),
         _ => Value::num(f64::NAN),
     }
 }
@@ -167,8 +168,8 @@ fn scan(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Posting-list executor == legacy executor == naive scan, and the
-    /// answer is invariant under predicate duplication and permutation.
+    /// Posting-list executor == naive scan, and the answer is invariant
+    /// under predicate duplication and permutation.
     #[test]
     fn three_way_executor_identity(
         rows in proptest::collection::vec(
@@ -185,7 +186,6 @@ proptest! {
 
         let expected = scan(&relation, &query);
         prop_assert_eq!(&execute_rows(&relation, &query), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &query), &expected);
 
         // Duplicating the whole predicate list (duplicate predicates on
         // one attribute, by construction) must change nothing.
@@ -193,13 +193,11 @@ proptest! {
             predicates.iter().chain(predicates.iter()).cloned().collect(),
         );
         prop_assert_eq!(&execute_rows(&relation, &doubled), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &doubled), &expected);
 
         // Reversing predicate order must change nothing either.
         let reversed =
             SelectionQuery::new(predicates.iter().rev().cloned().collect());
         prop_assert_eq!(&execute_rows(&relation, &reversed), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &reversed), &expected);
     }
 
     /// A shared `PlanExecutor` answers every member of a plan exactly
@@ -382,9 +380,11 @@ proptest! {
         );
     }
 
-    /// Guarantee 4: `batch_plans` is invisible end to end — ranked
-    /// answers and degradation reports are byte-identical with batching
-    /// on and off, through the full stack, under every fault profile.
+    /// Guarantee 4: plan issuance is invisible end to end — ranked
+    /// answers, degradation reports and source meters are byte-identical
+    /// to query-at-a-time issuance, through the full stack, under every
+    /// fault profile. An early-stop target that can never fire forces
+    /// the engine onto its sequential path.
     #[test]
     fn batched_engine_is_byte_identical_through_the_stack(
         fault_seed in 0u64..=u64::MAX,
@@ -393,15 +393,16 @@ proptest! {
     ) {
         let h = harness();
         let q = &h.queries[query_idx];
-        let run = |batch: bool| -> AnswerSet {
+        let run = |target_relevant: Option<usize>| -> (String, String) {
             let db = full_stack(profile_at(profile_idx), fault_seed);
             let cfg = EngineConfig {
-                batch_plans: batch,
+                target_relevant,
                 ..config()
             };
-            h.system.answer(&db, q, &cfg)
+            let answer = h.system.answer(&db, q, &cfg);
+            (fingerprint(&answer), format!("{:?}", db.stats()))
         };
-        prop_assert_eq!(fingerprint(&run(true)), fingerprint(&run(false)));
+        prop_assert_eq!(run(None), run(Some(usize::MAX)));
     }
 }
 
