@@ -10,6 +10,13 @@
 //! already knows how to degrade on — it abandons remaining work and
 //! returns a partial answer with a populated `DegradationReport`.
 //!
+//! A relaxation plan ([`WebDatabase::try_query_plan`]) is cut the same
+//! way: the prefix the remaining budget covers goes to the inner
+//! database as one plan, each entry it returns costs one probe's
+//! ticks, and a plan cut short by the budget ends in the terminal
+//! `Unavailable` — exactly what the query-at-a-time loop returns, so
+//! shared plan evaluation below reaches the source unchanged.
+//!
 //! Because the clock is per-query and every probe costs the same
 //! whether it is served from cache, source, or fails, deadline behavior
 //! is a pure function of the query's own probe count: independent of
@@ -77,6 +84,38 @@ impl WebDatabase for DeadlineWebDb<'_> {
         self.inner.try_query(query)
     }
 
+    // aimq-probe: entry -- deadline plan wrapper; the budget-covered prefix forwards inward as one plan, a cut converts to terminal Unavailable on the `missed` flag
+    fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
+        // Entry `k` of the prefix would start at tick `now + k * cost`;
+        // `try_query` refuses it once that reaches the deadline.
+        let admitted = if self.deadline_ticks == 0 {
+            plan.len()
+        } else {
+            let remaining = self.deadline_ticks.saturating_sub(self.clock.now());
+            let covered = remaining.div_ceil(self.ticks_per_probe);
+            usize::try_from(covered).map_or(plan.len(), |n| n.min(plan.len()))
+        };
+        let prefix = plan.get(..admitted).unwrap_or_default();
+        let mut out = if prefix.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.try_query_plan(prefix)
+        };
+        // Every entry the inner database returned was issued, so each
+        // costs one probe — as in the sequential loop, where the clock
+        // advances before the probe resolves.
+        let issued = u64::try_from(out.len()).unwrap_or(u64::MAX);
+        self.clock
+            .advance(self.ticks_per_probe.saturating_mul(issued));
+        let inner_ended =
+            out.len() < prefix.len() || matches!(out.last(), Some(Err(e)) if !e.is_retryable());
+        if admitted < plan.len() && !inner_ended {
+            self.missed.store(true, Ordering::Release);
+            out.push(Err(QueryError::Unavailable));
+        }
+        out
+    }
+
     fn stats(&self) -> AccessStats {
         self.inner.stats()
     }
@@ -93,8 +132,9 @@ impl WebDatabase for DeadlineWebDb<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimq_catalog::{AttrId, Predicate, Tuple, Value};
-    use aimq_storage::{InMemoryWebDb, Relation};
+    use aimq_catalog::{AttrId, Predicate, PredicateOp, Tuple, Value};
+    use aimq_storage::{FaultInjectingWebDb, FaultProfile, InMemoryWebDb, Relation};
+    use proptest::prelude::*;
 
     fn db() -> InMemoryWebDb {
         let schema = Schema::builder("R")
@@ -138,6 +178,103 @@ mod tests {
         }
         assert!(!ddb.deadline_missed());
         assert_eq!(ddb.elapsed_ticks(), 700);
+    }
+
+    /// Fault profiles the plan proptest draws from: none, hostile, and
+    /// hostile plus a chance of the terminal `Unavailable`, so an inner
+    /// error as well as the budget can end a plan.
+    fn profile(idx: usize) -> FaultProfile {
+        match idx % 3 {
+            0 => FaultProfile::none(),
+            1 => FaultProfile::hostile(),
+            _ => FaultProfile {
+                unavailable_probability: 0.1,
+                ..FaultProfile::hostile()
+            },
+        }
+    }
+
+    /// A small query pool: hits, an empty match, and price ranges.
+    fn query(code: u8) -> SelectionQuery {
+        match code % 4 {
+            0 => probe(),
+            1 => SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("Honda"))]),
+            2 => SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("DeLorean"))]),
+            _ => SelectionQuery::new(vec![Predicate {
+                attr: AttrId(1),
+                op: PredicateOp::Ge,
+                value: Value::num(f64::from(code) * 50.0),
+            }]),
+        }
+    }
+
+    /// The sequential reference: the trait's default loop, spelled out.
+    fn sequential(
+        db: &dyn WebDatabase,
+        plan: &[SelectionQuery],
+    ) -> Vec<Result<QueryPage, QueryError>> {
+        let mut out = Vec::new();
+        for q in plan {
+            let result = db.try_query(q);
+            let terminal = matches!(&result, Err(e) if !e.is_retryable());
+            out.push(result);
+            if terminal {
+                break;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The plan path is the sequential loop: same results, same
+        /// ticks charged, same miss flag and the same inner traffic,
+        /// whether the budget, an inner terminal error or neither ends
+        /// the plan — also when earlier probes already spent part of
+        /// the budget.
+        #[test]
+        fn plan_matches_the_sequential_loop(
+            deadline_ticks in 0u64..40,
+            ticks_per_probe in 1u64..7,
+            warmup in proptest::collection::vec(0u8..=255, 0..4),
+            plan in proptest::collection::vec(0u8..=255, 0..16),
+            profile_idx in 0usize..3,
+            fault_seed in 0u64..=u64::MAX,
+        ) {
+            let warmup: Vec<SelectionQuery> = warmup.into_iter().map(query).collect();
+            let plan: Vec<SelectionQuery> = plan.into_iter().map(query).collect();
+            let run = |batched: bool| {
+                let inner = FaultInjectingWebDb::new(db(), profile(profile_idx), fault_seed);
+                let ddb = DeadlineWebDb::new(&inner, deadline_ticks, ticks_per_probe);
+                let mut results = sequential(&ddb, &warmup);
+                results.extend(if batched {
+                    ddb.try_query_plan(&plan)
+                } else {
+                    sequential(&ddb, &plan)
+                });
+                (
+                    results,
+                    ddb.elapsed_ticks(),
+                    ddb.deadline_missed(),
+                    format!("{:?}", inner.stats()),
+                )
+            };
+            prop_assert_eq!(run(true), run(false));
+        }
+    }
+
+    #[test]
+    fn plan_cut_by_the_budget_ends_in_unavailable() {
+        let inner = db();
+        let ddb = DeadlineWebDb::new(&inner, 25, 10);
+        let results = ddb.try_query_plan(&[probe(), probe(), probe(), probe()]);
+        assert_eq!(results.len(), 4, "three admitted entries and the refusal");
+        assert!(results.iter().take(3).all(Result::is_ok));
+        assert_eq!(results.last(), Some(&Err(QueryError::Unavailable)));
+        assert!(ddb.deadline_missed());
+        assert_eq!(ddb.elapsed_ticks(), 30);
+        assert_eq!(inner.stats().queries_issued, 3);
     }
 
     #[test]

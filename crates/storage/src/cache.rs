@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -37,6 +38,31 @@ struct CacheState {
     evictions: u64,
 }
 
+/// What a stripe lookup found (see [`CachedWebDb::lookup`]).
+enum Lookup {
+    /// A memoized page, served and counted as a hit.
+    Hit(QueryPage),
+    /// Nothing memoized; counted as a miss that must be forwarded.
+    Miss,
+    /// Pending misses must reach the inner database first.
+    Flush,
+}
+
+/// A pending miss of a plan: its canonical key and the stripe it
+/// belongs to.
+type RunEntry<'a> = (Cow<'a, SelectionQuery>, Option<&'a Mutex<CacheState>>);
+
+/// The canonical cache key of `query`. Borrows the query when it is
+/// already canonical — the engine's probe plan stores canonical probes,
+/// so the common path neither sorts nor clones here.
+fn cache_key(query: &SelectionQuery) -> Cow<'_, SelectionQuery> {
+    if query.is_canonical() {
+        Cow::Borrowed(query)
+    } else {
+        Cow::Owned(query.canonicalize())
+    }
+}
+
 /// A memoizing decorator for any [`WebDatabase`]: repeated semantically
 /// identical probes are answered from memory instead of re-querying the
 /// autonomous source.
@@ -61,6 +87,16 @@ struct CacheState {
 /// - The memo is bounded: at most `capacity` pages, evicted FIFO. A
 ///   `capacity` of zero stores nothing (every probe forwards), which is how
 ///   `--no-cache` is implemented without changing the decorator stack.
+/// - Plans ([`WebDatabase::try_query_plan`]) are walked in order. Each
+///   run of consecutive misses goes to the inner database as one
+///   sub-plan, so a source that shares work across a plan still gets
+///   to; the run is flushed at the end of the plan and before a hit or
+///   a repeat of a pending key is looked up, so one caller sees exactly
+///   the hits, misses, evictions, inner traffic and memo of the
+///   query-at-a-time loop. A terminal error ends the plan; the run
+///   entries the inner database never reached are not counted.
+/// - Admission is first insertion wins: a page memoized by a concurrent
+///   miss for the same key is kept, so `order` never holds a key twice.
 /// - Cache hits never touch the inner database: no probe budget is
 ///   charged, no circuit breaker state advances, no fault-schedule ordinal
 ///   is consumed, and [`AccessStats::queries_issued`] does not move. The
@@ -177,6 +213,87 @@ impl<D: WebDatabase> CachedWebDb<D> {
             state.order.clear();
         }
     }
+
+    /// Look `key` up in its stripe and count the outcome. With
+    /// `defer_hits`, a memoized key is neither served nor counted
+    /// ([`Lookup::Flush`]): the caller forwards its pending misses, then
+    /// looks the key up again.
+    fn lookup(&self, stripe: &Mutex<CacheState>, key: &SelectionQuery, defer_hits: bool) -> Lookup {
+        let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
+        match state.pages.get(key) {
+            Some(_) if defer_hits => Lookup::Flush,
+            Some(page) => {
+                let page = page.clone();
+                state.hits = state.hits.saturating_add(1);
+                Lookup::Hit(page)
+            }
+            None => {
+                state.misses = state.misses.saturating_add(1);
+                Lookup::Miss
+            }
+        }
+    }
+
+    /// Memoize `page` under `key`, evicting FIFO down to the stripe
+    /// bound — the one admission path of both probe entry points.
+    /// Truncated pages and a zero capacity store nothing.
+    fn admit(&self, stripe: &Mutex<CacheState>, key: &SelectionQuery, page: &QueryPage) {
+        if page.truncated || self.stripe_capacity == 0 {
+            return;
+        }
+        // aimq-lock: use(cache-stripe)
+        let mut state = lock_stats(stripe);
+        // A concurrent miss for the same query may have raced us here;
+        // first insertion wins so `order` never holds a duplicate key.
+        if state.pages.contains_key(key) {
+            return;
+        }
+        state.order.push_back(key.clone());
+        state.pages.insert(key.clone(), page.clone());
+        while state.pages.len() > self.stripe_capacity {
+            match state.order.pop_front() {
+                Some(oldest) => {
+                    state.pages.remove(&oldest);
+                    state.evictions = state.evictions.saturating_add(1);
+                }
+                None => break,
+            }
+        }
+    }
+
+    /// Append the inner database's `results` for the pending misses
+    /// `run` to `out`, admitting pages in plan order; `run` is left
+    /// empty. Returns `false` when the plan ends here: the inner database
+    /// stopped on a terminal error, and the entries it never reached are
+    /// taken back off the miss counters.
+    fn settle(
+        &self,
+        run: &mut Vec<RunEntry<'_>>,
+        results: Vec<Result<QueryPage, QueryError>>,
+        out: &mut Vec<Result<QueryPage, QueryError>>,
+    ) -> bool {
+        let mut results = results.into_iter();
+        let mut ended = false;
+        for (key, stripe) in run.drain(..) {
+            match results.next() {
+                Some(result) if !ended => {
+                    ended = matches!(&result, Err(e) if !e.is_retryable());
+                    if let (Ok(page), Some(stripe)) = (&result, stripe) {
+                        self.admit(stripe, &key, page);
+                    }
+                    out.push(result);
+                }
+                _ => {
+                    ended = true;
+                    if let Some(stripe) = stripe {
+                        let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
+                        state.misses = state.misses.saturating_sub(1);
+                    }
+                }
+            }
+        }
+        !ended
+    }
 }
 
 impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
@@ -186,52 +303,71 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
 
     // aimq-probe: entry -- memoizing wrapper; misses forward inward and hits/misses are metered in CacheStats
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-        // Key derivation borrows the query when it is already canonical —
-        // the engine's probe plan stores canonical probes, so the common
-        // path neither sorts nor clones here.
-        let canonicalized;
-        let key: &SelectionQuery = if query.is_canonical() {
-            query
-        } else {
-            canonicalized = query.canonicalize();
-            &canonicalized
-        };
-        let Some(stripe) = self.stripe_for(key) else {
+        let key = cache_key(query);
+        let Some(stripe) = self.stripe_for(&key) else {
             return self.inner.try_query(query);
         };
-        {
-            let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
-            if let Some(page) = state.pages.get(key) {
-                let page = page.clone();
-                state.hits = state.hits.saturating_add(1);
-                return Ok(page);
-            }
-            state.misses = state.misses.saturating_add(1);
+        if let Lookup::Hit(page) = self.lookup(stripe, &key, false) {
+            return Ok(page);
         }
         // Forward without holding the lock: the inner stack may spend
         // virtual time retrying/backing off, and concurrent probes for
         // *other* queries must not serialize behind it.
         let page = self.inner.try_query(query)?;
-        if !page.truncated && self.stripe_capacity > 0 {
-            // aimq-lock: use(cache-stripe)
-            let mut state = lock_stats(stripe);
-            // A concurrent miss for the same query may have raced us here;
-            // first insertion wins so `order` never holds a duplicate key.
-            if !state.pages.contains_key(key) {
-                state.order.push_back(key.clone());
-                state.pages.insert(key.clone(), page.clone());
-                while state.pages.len() > self.stripe_capacity {
-                    match state.order.pop_front() {
-                        Some(oldest) => {
-                            state.pages.remove(&oldest);
-                            state.evictions = state.evictions.saturating_add(1);
+        self.admit(stripe, &key, &page);
+        Ok(page)
+    }
+
+    // aimq-probe: entry -- memoizing plan wrapper; each run of consecutive misses forwards inward as one sub-plan, metered per entry in CacheStats
+    fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
+        let mut out = Vec::with_capacity(plan.len());
+        // The pending misses are always the contiguous plan slice that
+        // starts at `run_start`; `run` holds their keys and stripes.
+        let mut run: Vec<RunEntry<'_>> = Vec::new();
+        let mut run_start = 0;
+        let mut entries = plan.iter().enumerate().map(|(i, query)| {
+            let key = cache_key(query);
+            let stripe = self.stripe_for(&key);
+            (i, key, stripe)
+        });
+        let mut entry = entries.next();
+        loop {
+            // Pending misses reach the inner database at the end of the
+            // plan, and before a repeat of a pending key or a hit is
+            // served: the sequential loop looks those up only after the
+            // misses' admissions (and evictions).
+            let lookup = match &entry {
+                None if run.is_empty() => return out,
+                None => Lookup::Flush,
+                Some((_, key, _)) if run.iter().any(|(k, _)| k == key) => Lookup::Flush,
+                Some((_, key, Some(stripe))) => self.lookup(stripe, key, !run.is_empty()),
+                Some((_, _, None)) => Lookup::Miss,
+            };
+            match lookup {
+                Lookup::Hit(page) => out.push(Ok(page)),
+                Lookup::Miss => {
+                    if let Some((i, key, stripe)) = entry {
+                        if run.is_empty() {
+                            run_start = i;
                         }
-                        None => break,
+                        run.push((key, stripe));
                     }
                 }
+                Lookup::Flush => {
+                    let pending = plan
+                        .get(run_start..)
+                        .and_then(|rest| rest.get(..run.len()))
+                        .unwrap_or_default();
+                    let results = self.inner.try_query_plan(pending);
+                    if !self.settle(&mut run, results, &mut out) {
+                        return out;
+                    }
+                    // Look the same entry up again.
+                    continue;
+                }
             }
+            entry = entries.next();
         }
-        Ok(page)
     }
 
     fn stats(&self) -> AccessStats {
@@ -601,6 +737,163 @@ mod tests {
         let s = db.stats();
         assert_eq!(s.cache_misses, 8);
         assert_eq!(s.cache_evictions as usize + db.len(), 8);
+    }
+
+    /// Every stripe's FIFO admission order, front (next evicted) first.
+    fn orders<D: WebDatabase>(db: &CachedWebDb<D>) -> Vec<Vec<SelectionQuery>> {
+        db.stripes
+            .iter()
+            .map(|s| lock_stats(s).order.iter().cloned().collect())
+            .collect()
+    }
+
+    /// The sequential reference for `try_query_plan`: the trait's
+    /// default loop, spelled out.
+    fn query_loop(
+        db: &dyn WebDatabase,
+        plan: &[SelectionQuery],
+    ) -> Vec<Result<QueryPage, QueryError>> {
+        let mut out = Vec::new();
+        for q in plan {
+            let result = db.try_query(q);
+            let terminal = matches!(&result, Err(e) if !e.is_retryable());
+            out.push(result);
+            if terminal {
+                break;
+            }
+        }
+        out
+    }
+
+    /// Every plan of up to four entries over four queries (one of them
+    /// non-canonical), at capacities that evict inside a plan, cold and
+    /// pre-warmed, with and without truncated pages: the plan path
+    /// leaves the same pages, meters, memo contents and FIFO order as
+    /// the query loop.
+    #[test]
+    fn plan_path_matches_the_query_loop_exhaustively() {
+        let pool = [
+            SelectionQuery::new(vec![make_eq("Toyota")]),
+            SelectionQuery::new(vec![price_ge(8000.0), make_eq("Toyota")]),
+            SelectionQuery::new(vec![price_ge(6500.0)]),
+            SelectionQuery::new(vec![make_eq("Honda")]),
+        ];
+        let mut plans: Vec<Vec<SelectionQuery>> = vec![Vec::new()];
+        for _ in 0..4 {
+            let longer: Vec<Vec<SelectionQuery>> = plans
+                .iter()
+                .filter(|p| p.len() == plans.last().map_or(0, Vec::len))
+                .flat_map(|p| {
+                    pool.iter().map(move |q| {
+                        let mut p = p.clone();
+                        p.push(q.clone());
+                        p
+                    })
+                })
+                .collect();
+            plans.extend(longer);
+        }
+        assert_eq!(plans.len(), 1 + 4 + 16 + 64 + 256);
+        for capacity in 0..=3 {
+            for limit in [None, Some(1)] {
+                for warm in [false, true] {
+                    let build = || {
+                        let source = InMemoryWebDb::new(relation());
+                        let source = match limit {
+                            Some(n) => source.with_result_limit(n),
+                            None => source,
+                        };
+                        let db = CachedWebDb::new(source, capacity);
+                        if warm {
+                            query_loop(&db, &[pool[2].clone(), pool[3].clone()]);
+                        }
+                        db
+                    };
+                    for plan in &plans {
+                        let (batched, sequential) = (build(), build());
+                        let case = format!("capacity {capacity}, limit {limit:?}, warm {warm}");
+                        assert_eq!(
+                            batched.try_query_plan(plan),
+                            query_loop(&sequential, plan),
+                            "{case}: pages"
+                        );
+                        assert_eq!(batched.stats(), sequential.stats(), "{case}: meters");
+                        assert_eq!(orders(&batched), orders(&sequential), "{case}: memo");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plan_stops_at_a_terminal_error_and_uncounts_the_unreached_tail() {
+        let dead = FaultProfile {
+            unavailable_probability: 1.0,
+            ..FaultProfile::none()
+        };
+        let build = || {
+            CachedWebDb::new(
+                FaultInjectingWebDb::new(InMemoryWebDb::new(relation()), dead, 7),
+                16,
+            )
+        };
+        let plan: Vec<SelectionQuery> = [6500.0, 8500.0, 9500.0]
+            .iter()
+            .map(|&p| SelectionQuery::new(vec![price_ge(p)]))
+            .collect();
+        let (batched, sequential) = (build(), build());
+        let results = batched.try_query_plan(&plan);
+        assert_eq!(results, vec![Err(QueryError::Unavailable)]);
+        assert_eq!(results, query_loop(&sequential, &plan));
+        assert_eq!(batched.stats(), sequential.stats());
+        assert_eq!(batched.stats().cache_misses, 1, "only the reached entry");
+    }
+
+    /// Overlapping plans from several threads through one striped cache
+    /// small enough to evict: pages stay the bare source's, each stripe's
+    /// FIFO holds a key at most once, the stripe bound holds, and no
+    /// source issue goes without a counted miss.
+    #[test]
+    fn concurrent_plans_keep_pages_memo_and_meter_coherent() {
+        const STRIPES: usize = 4;
+        const CAPACITY: usize = 6;
+        let bare = InMemoryWebDb::new(relation());
+        let db = CachedWebDb::with_stripes(InMemoryWebDb::new(relation()), CAPACITY, STRIPES);
+        let pool: Vec<SelectionQuery> = (0..24)
+            .map(|i| SelectionQuery::new(vec![price_ge(f64::from(i) * 500.0)]))
+            .collect();
+        std::thread::scope(|scope| {
+            for worker in 0..3usize {
+                let (db, bare, pool) = (&db, &bare, &pool);
+                scope.spawn(move || {
+                    for round in 0..40usize {
+                        let plan: Vec<SelectionQuery> = (0..6)
+                            .filter_map(|j| pool.get((worker * 5 + round * 7 + j * 3) % pool.len()))
+                            .cloned()
+                            .collect();
+                        let pages = db.try_query_plan(&plan);
+                        assert_eq!(pages.len(), plan.len());
+                        for (q, page) in plan.iter().zip(pages) {
+                            assert_eq!(page, bare.try_query(q), "page differs from the source");
+                        }
+                        let s = db.stats();
+                        assert!(s.queries_issued <= s.cache_misses, "uncounted issue: {s:?}");
+                    }
+                });
+            }
+        });
+        for order in orders(&db) {
+            let distinct: std::collections::BTreeSet<&SelectionQuery> = order.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                order.len(),
+                "duplicate key in a stripe's order"
+            );
+        }
+        assert!(db.len() <= CAPACITY + STRIPES - 1, "len {}", db.len());
+        let s = db.stats();
+        assert!(s.queries_issued <= s.cache_misses);
+        assert_eq!(s.cache_hits + s.cache_misses, 3 * 40 * 6);
     }
 
     #[test]

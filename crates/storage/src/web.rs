@@ -378,11 +378,17 @@ pub trait WebDatabase: Send + Sync {
     /// otherwise write — query `i+1` is issued only after query `i`
     /// resolved, and the loop stops after the first *terminal*
     /// (non-retryable) error, returning the prefix evaluated so far.
-    /// Decorators inherit this default, so fault injection, retries,
-    /// caching and deadlines see the exact same per-query traffic as
-    /// query-at-a-time probing; only terminal sources like
-    /// [`InMemoryWebDb`] override it to share evaluation work across the
-    /// plan's overlapping queries (the answers must stay byte-identical).
+    /// It is the one reference every override must reproduce: the same
+    /// results, the same meters and the same inner traffic.
+    ///
+    /// Terminal sources like [`InMemoryWebDb`] override it to share
+    /// evaluation work across the plan's overlapping queries. The
+    /// decorators of the serving stack forward plans so that sharing
+    /// reaches the source: `CachedWebDb` sends each run of consecutive
+    /// misses inward as one sub-plan, and the serving runtime's deadline
+    /// layer forwards the prefix its tick budget covers. The fault,
+    /// resilience and federation layers inherit this loop, so their
+    /// inner source sees one query at a time.
     // aimq-probe: entry -- sequential plan loop over try_query; per-query accounting unchanged
     fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
         let mut out = Vec::with_capacity(plan.len());

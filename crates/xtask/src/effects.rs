@@ -2,14 +2,15 @@
 //!
 //! **L8** infers, via a boolean reachability fixpoint over the shared
 //! [`crate::callgraph`], the set of functions that can transitively
-//! reach the `WebDatabase::try_query` boundary ("probing" functions).
-//! Three findings follow: a probing path anywhere in the probe-free
-//! crates ([`PROBE_FREE_CRATES`]), a probing call made while a lock
-//! guard is live (composing with the L5 scope tracker; direct blocking
-//! calls stay L5's), and a function that calls `try_query` directly
-//! without an `// aimq-probe: entry -- <why>` annotation. Stale
-//! annotations — pointing at a function that no longer probes — are
-//! errors too, so the annotated entry-point list stays exact.
+//! reach the `WebDatabase::try_query` / `try_query_plan` boundary
+//! ("probing" functions). Three findings follow: a probing path
+//! anywhere in the probe-free crates ([`PROBE_FREE_CRATES`]), a probing
+//! call made while a lock guard is live (composing with the L5 scope
+//! tracker; direct blocking calls stay L5's), and a function that calls
+//! `try_query` or `try_query_plan` directly without an
+//! `// aimq-probe: entry -- <why>` annotation. Stale annotations —
+//! pointing at a function that no longer probes — are errors too, so
+//! the annotated entry-point list stays exact.
 //!
 //! **L9** bans silently discarded fallible results in non-test code:
 //! `let _ = ...;` and terminal `.ok();` unconditionally (both erase an
@@ -42,8 +43,8 @@ pub const PROBE_FREE_CRATES: &[&str] = &["afd", "catalog", "rock", "sim"];
 /// Error enums whose silent disposal L9 forbids.
 pub const FAULT_ERRORS: &[&str] = &["QueryError", "ProbeError", "ServeError"];
 
-/// The probing boundary callee.
-const PROBE_TARGET: &str = "try_query";
+/// The probing boundary callees: a single probe and a whole plan.
+const PROBE_TARGETS: &[&str] = &["try_query", "try_query_plan"];
 
 const PROBE_FREE_HELP: &str =
     "mining/similarity crates must stay probe-free: route source I/O through the storage \
@@ -119,7 +120,7 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
 
     // ---- L8: probe-effect ----
     let graph = CallGraph::build(files.iter().map(|f| f.analysis));
-    let targets: BTreeSet<&str> = [PROBE_TARGET].into_iter().collect();
+    let targets: BTreeSet<&str> = PROBE_TARGETS.iter().copied().collect();
     let probing = graph.reaches_callee(&targets);
     let chain_of = |name: &str| -> String {
         match graph.witness(name, &targets) {
@@ -133,8 +134,8 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
         let line_starts = line_offsets(&file.scanned.text);
         let mut direct_lines: BTreeSet<usize> = BTreeSet::new();
         for f in &file.analysis.functions {
-            let direct = f.calls.iter().any(|c| c == PROBE_TARGET);
-            if direct {
+            let direct = f.calls.iter().find(|c| PROBE_TARGETS.contains(&c.as_str()));
+            if direct.is_some() {
                 direct_lines.insert(f.line);
             }
             // Taint is judged per *definition*, not per merged name:
@@ -143,7 +144,7 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
             // innocent `rock::answer` because `core::answer` probes.)
             let taint = f.calls.iter().find(|c| {
                 !CALLEE_BLOCKLIST.contains(&c.as_str())
-                    && (c.as_str() == PROBE_TARGET || probing.contains(c.as_str()))
+                    && (PROBE_TARGETS.contains(&c.as_str()) || probing.contains(c.as_str()))
             });
             report
                 .probing_by_crate
@@ -208,7 +209,7 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
             // Entry-point discipline: a direct boundary call must carry
             // an annotation (pointless in probe-free crates, where the
             // call itself is the error).
-            if direct && !probe_free {
+            if let (Some(callee), false) = (direct, probe_free) {
                 let annotated = file
                     .scanned
                     .probe_directives
@@ -223,8 +224,8 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                             line: f.line,
                             col: 1,
                             message: format!(
-                                "`{}` calls `{PROBE_TARGET}` directly but is not annotated \
-                                 as a probing entry point",
+                                "`{}` calls `{callee}` directly but is not annotated as a \
+                                 probing entry point",
                                 f.name
                             ),
                             help: ENTRY_HELP,
@@ -263,7 +264,7 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                         col: 1,
                         message: format!(
                             "stale `aimq-probe: entry` annotation: no function on line {} \
-                             calls `{PROBE_TARGET}` directly",
+                             calls `try_query` or `try_query_plan` directly",
                             d.target_line
                         ),
                         help: STALE_HELP,

@@ -45,7 +45,8 @@
 //! module):
 //!
 //! - **L8 probe-effect**: a workspace may-call fixpoint computes every
-//!   function that can transitively reach `WebDatabase::try_query`;
+//!   function that can transitively reach `WebDatabase::try_query` or
+//!   `try_query_plan`;
 //!   probing paths are banned in the probe-free crates (`afd`, `sim`,
 //!   `rock`, `catalog`), banned under a live lock guard, and direct
 //!   boundary callers must be annotated
@@ -426,8 +427,9 @@ pub struct ProbeEntryPoint {
     pub fn_name: String,
 }
 
-/// Workspace probe-effect summary: the direct `try_query` callers and
-/// the per-crate probing sets the L8 fixpoint inferred.
+/// Workspace probe-effect summary: the direct `try_query` /
+/// `try_query_plan` callers and the per-crate probing sets the L8
+/// fixpoint inferred.
 #[derive(Debug, Default)]
 pub struct ProbeSummary {
     /// Direct boundary callers outside the probe-free crates, sorted.

@@ -399,8 +399,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "inferred probing paths in probe-free crates, probes made under a live lock \
                   guard, and unannotated or stale probing entry points",
         rationale: "every probe to an autonomous source must flow through the budgeted, \
-                    degradation-aware `WebDatabase::try_query` boundary; the mining and \
-                    statistics crates assume a consistent source snapshot, so a call chain \
+                    degradation-aware `WebDatabase::try_query` / `try_query_plan` boundary; \
+                    the mining and statistics crates assume a consistent source snapshot, so \
+                    a call chain \
                     from `afd`/`sim`/`rock`/`catalog` to the boundary — inferred by a \
                     workspace may-call fixpoint — breaks the paper's sampling model, and a \
                     probe under a lock guard serializes every worker behind source latency.",

@@ -153,11 +153,11 @@ pub struct AtomicDirective {
 
 /// A parsed `// aimq-probe: entry -- justification` annotation (L8).
 ///
-/// Marks a function that directly calls the `WebDatabase::try_query`
-/// boundary as a *sanctioned* probing entry point; the justification
-/// must say where its budget/degradation accounting lives. The lint
-/// errors on entry points without this annotation and on stale
-/// annotations whose function no longer probes.
+/// Marks a function that directly calls the `WebDatabase::try_query` or
+/// `try_query_plan` boundary as a *sanctioned* probing entry point; the
+/// justification must say where its budget/degradation accounting
+/// lives. The lint errors on entry points without this annotation and
+/// on stale annotations whose function no longer probes.
 #[derive(Debug, Clone)]
 pub struct ProbeDirective {
     /// Line the directive text sits on (1-based).

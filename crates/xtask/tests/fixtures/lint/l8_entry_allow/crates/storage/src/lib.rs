@@ -6,6 +6,11 @@ pub fn fetch(db: &Db, q: &Query) -> u32 {
     db.try_query(q)
 }
 
+// aimq-probe: entry -- fixture: accounting lives in the caller's meter
+pub fn fetch_plan(db: &Db, plan: &[Query]) -> u32 {
+    db.try_query_plan(plan)
+}
+
 pub fn summarize(db: &Db) -> u32 {
     db.len()
 }

@@ -82,11 +82,16 @@ fn l8_guard_suppressed_twin_is_clean() {
 fn l8_unannotated_entry_and_stale_annotation_are_detected() {
     let report = lint("l8_entry");
     let errs = errors(&report);
-    assert_eq!(errs.len(), 2, "{:#?}", report.diagnostics);
+    assert_eq!(errs.len(), 3, "{:#?}", report.diagnostics);
     assert!(errs.iter().all(|(rule, _)| *rule == "probe-effect"));
-    assert!(errs
-        .iter()
-        .any(|(_, msg)| msg.contains("not annotated as a probing entry point")));
+    for callee in ["try_query", "try_query_plan"] {
+        let message = format!("calls `{callee}` directly but is not annotated");
+        assert!(
+            errs.iter().any(|(_, msg)| msg.contains(&message)),
+            "{:#?}",
+            report.diagnostics
+        );
+    }
     assert!(errs
         .iter()
         .any(|(_, msg)| msg.contains("stale `aimq-probe: entry` annotation")));

@@ -11,7 +11,9 @@
 //!    `Cached(Resilient(FaultInjecting(InMemory)))` stack returns
 //!    exactly what the sequential `try_query` loop returns (pages,
 //!    errors, early termination *and* meter state), for every fault
-//!    profile and seed;
+//!    profile and seed — also at every cache capacity, on a pre-warmed
+//!    memo and over a source that clips pages, where the cache forwards
+//!    runs of misses as sub-plans and its memo must end up identical;
 //! 3. **federation transparency** — a replicated federation answers
 //!    plans exactly like its per-query loop, and (benign members) like
 //!    the single-source union relation, for every replication factor;
@@ -31,7 +33,7 @@ use aimq_suite::engine::{AimqSystem, AnswerSet, EngineConfig, TrainConfig};
 use aimq_suite::storage::{
     execute_rows, CachedWebDb, FaultInjectingWebDb, FaultProfile, FederatedWebDb, FederationPolicy,
     InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation, ResilientWebDb, RetryPolicy,
-    RowId, SourceSpec, WebDatabase,
+    RowId, SourceSpec, WebDatabase, DEFAULT_CACHE_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -403,6 +405,84 @@ proptest! {
             (fingerprint(&answer), format!("{:?}", db.stats()))
         };
         prop_assert_eq!(run(None), run(Some(usize::MAX)));
+    }
+}
+
+proptest! {
+    // Every axis combination (216) is cheap; draw well past them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Guarantee 2, cache axes: the cache forwards each run of
+    /// consecutive misses as one sub-plan, and that stays invisible at
+    /// every capacity (none; three pages in one stripe, so FIFO eviction
+    /// happens inside a plan; the default), on a cache pre-warmed with a
+    /// different plan that shares every other entry (hits and misses
+    /// interleave), and over a source
+    /// that clips pages (a truncated page is not memoized, so the plan's
+    /// duplicate base entry is forwarded again). A follow-up plan then
+    /// reads the memo, so its contents and FIFO order must agree too.
+    #[test]
+    fn plan_is_transparent_through_the_cache(
+        fault_seed in 0u64..=u64::MAX,
+        profile_idx in 0usize..3,
+        plan_idx in 0usize..4,
+        capacity_idx in 0usize..3,
+        prewarm in 0u8..2,
+        limit_idx in 0usize..3,
+    ) {
+        let h = harness();
+        let plan = &h.plans[plan_idx];
+        let capacity = [0, 3, DEFAULT_CACHE_CAPACITY][capacity_idx];
+        let limit = [None, Some(0), Some(3)][limit_idx];
+        let build = || {
+            let source = InMemoryWebDb::new(h.relation.clone());
+            let source = match limit {
+                Some(n) => source.with_result_limit(n),
+                None => source,
+            };
+            let db = CachedWebDb::with_stripes(
+                ResilientWebDb::new(
+                    FaultInjectingWebDb::new(source, profile_at(profile_idx), fault_seed),
+                    RetryPolicy::default(),
+                ),
+                capacity,
+                1,
+            );
+            if prewarm == 1 {
+                // Another tuple's plan plus every other entry of this
+                // one, so the plan under test alternates hits and misses.
+                let other = &h.plans[(plan_idx + 1) % h.plans.len()];
+                let warm: Vec<SelectionQuery> =
+                    other.iter().chain(plan.iter().step_by(2)).cloned().collect();
+                sequential_plan(&db, &warm);
+            }
+            db
+        };
+
+        let plan_db = build();
+        let batched = plan_db.try_query_plan(plan);
+        let loop_db = build();
+        let sequential = sequential_plan(&loop_db, plan);
+
+        prop_assert_eq!(&batched, &sequential);
+        prop_assert_eq!(
+            format!("{:?}", plan_db.stats()),
+            format!("{:?}", loop_db.stats()),
+            "plan path left different meter state"
+        );
+        prop_assert_eq!(plan_db.len(), loop_db.len());
+
+        let follow_up = &h.plans[(plan_idx + 2) % h.plans.len()];
+        let follow_up: Vec<SelectionQuery> = follow_up.iter().chain(plan).cloned().collect();
+        prop_assert_eq!(
+            sequential_plan(&plan_db, &follow_up),
+            sequential_plan(&loop_db, &follow_up),
+            "plan path left a different memo"
+        );
+        prop_assert_eq!(
+            format!("{:?}", plan_db.stats()),
+            format!("{:?}", loop_db.stats())
+        );
     }
 }
 

@@ -12,18 +12,22 @@
 //!    produce byte-identical per-query answers to a serial replay, and
 //!    (property-tested) this holds across fault profiles when the fault
 //!    layer runs in *keyed* mode, where each probe's fate is a pure
-//!    function of `(seed, canonical query)` rather than arrival order.
+//!    function of `(seed, canonical query)` rather than arrival order;
+//! 4. **stack shape** — through the deadline and cache layers that
+//!    `aimq serve-http` builds, the source receives base-derivation
+//!    probes one at a time and each base tuple's pending probes as one
+//!    plan, pinned as exact call counts for a fixed query log.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use aimq_suite::catalog::{ImpreciseQuery, Schema, SelectionQuery};
+use aimq_suite::catalog::{AttrId, ImpreciseQuery, Schema, SelectionQuery};
 use aimq_suite::data::CarDb;
 use aimq_suite::engine::{AimqSystem, AnswerSet, EngineConfig, TrainConfig};
 use aimq_suite::serve::{QueryServer, ServeConfig, ServeError, Ticket};
 use aimq_suite::storage::{
     AccessStats, CachedWebDb, FaultInjectingWebDb, FaultProfile, InMemoryWebDb, QueryError,
-    QueryPage, Relation, WebDatabase,
+    QueryPage, Relation, WebDatabase, DEFAULT_CACHE_CAPACITY,
 };
 use proptest::prelude::*;
 
@@ -364,4 +368,173 @@ proptest! {
             concurrent_replay(&keyed_stack(profile, fault_seed), &log, threads, shuffle_seed);
         prop_assert_eq!(serial, concurrent);
     }
+}
+
+// --- Stack-shape guard: the serving stack hands whole plans to the
+// --- source. A decorator that silently fell back to the trait's
+// --- query-at-a-time loop would turn every plan call below into a
+// --- run of single probes.
+
+/// A source that counts how each probe reached it.
+struct CountingWebDb {
+    inner: InMemoryWebDb,
+    queries: AtomicUsize,
+    plans: AtomicUsize,
+}
+
+impl CountingWebDb {
+    fn new(inner: InMemoryWebDb) -> Self {
+        CountingWebDb {
+            inner,
+            queries: AtomicUsize::new(0),
+            plans: AtomicUsize::new(0),
+        }
+    }
+
+    /// `(try_query calls, try_query_plan calls)` so far.
+    fn calls(&self) -> (usize, usize) {
+        (
+            self.queries.load(Ordering::Acquire),
+            self.plans.load(Ordering::Acquire),
+        )
+    }
+}
+
+impl WebDatabase for CountingWebDb {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
+        self.queries.fetch_add(1, Ordering::AcqRel);
+        self.inner.try_query(query)
+    }
+
+    fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
+        self.plans.fetch_add(1, Ordering::AcqRel);
+        self.inner.try_query_plan(plan)
+    }
+
+    fn stats(&self) -> AccessStats {
+        self.inner.stats()
+    }
+
+    fn reset_stats(&self) {
+        self.inner.reset_stats()
+    }
+}
+
+/// The serve-http stack shape, `DeadlineWebDb → CachedWebDb::with_stripes(_,
+/// 4096, 8)` over a counting source, behind a one-worker server with a
+/// deadline that never fires.
+fn serving_stack() -> (QueryServer, Arc<CachedWebDb<CountingWebDb>>) {
+    let h = harness();
+    let cache = Arc::new(CachedWebDb::with_stripes(
+        CountingWebDb::new(InMemoryWebDb::new(h.relation.clone())),
+        DEFAULT_CACHE_CAPACITY,
+        8,
+    ));
+    let server = QueryServer::start(
+        Arc::clone(&h.system),
+        Arc::clone(&cache) as Arc<dyn WebDatabase>,
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 16,
+            deadline_ticks: 1_000_000,
+            ticks_per_probe: 1,
+            engine: config(),
+        },
+    );
+    (server, cache)
+}
+
+/// Serve `log` in order; returns the source calls each query caused.
+fn source_calls_per_query(
+    server: &QueryServer,
+    source: &CountingWebDb,
+    log: &[ImpreciseQuery],
+) -> Vec<(usize, usize)> {
+    log.iter()
+        .map(|q| {
+            let before = source.calls();
+            let outcome = server.submit(q.clone()).unwrap().wait();
+            assert!(outcome.is_ok(), "well under deadline");
+            let after = source.calls();
+            (after.0 - before.0, after.1 - before.1)
+        })
+        .collect()
+}
+
+/// Through the stack `aimq serve-http` builds, the source receives the
+/// engine's base-derivation probes one at a time and each expanded base
+/// tuple's pending probes as one plan. On a cold stack that is exactly
+/// what the engine issues against a bare source; over a shared cache the
+/// counts for a fixed CarDB log are pinned, and a second, warm pass
+/// reaches the source not at all.
+#[test]
+fn serving_stack_hands_whole_plans_to_the_source() {
+    let h = harness();
+    // The harness queries bind every attribute, so each expands one base
+    // tuple; two that bind only the first two attributes expand many.
+    let log: Vec<ImpreciseQuery> = h
+        .queries
+        .iter()
+        .cloned()
+        .chain([0u32, 500].iter().map(|&row| {
+            let tuple = h.relation.tuple(row);
+            let bindings = tuple
+                .values()
+                .iter()
+                .take(2)
+                .enumerate()
+                .map(|(i, v)| (AttrId(i), v.clone()))
+                .collect();
+            ImpreciseQuery::from_bindings(bindings).unwrap()
+        }))
+        .collect();
+
+    // What the engine itself issues against a bare source: `try_query`
+    // per base-derivation probe, one plan per expanded base tuple with
+    // pending probes. A cold stack passes exactly that through.
+    for q in &log {
+        let bare = CountingWebDb::new(InMemoryWebDb::new(h.relation.clone()));
+        h.system.answer(&bare, q, &config());
+        let (server, cache) = serving_stack();
+        let cold = source_calls_per_query(&server, cache.inner(), std::slice::from_ref(q));
+        assert_eq!(
+            cold,
+            [bare.calls()],
+            "the stack changed how probes reach the source"
+        );
+        server.shutdown();
+    }
+
+    // One shared stack over the whole log. The seventh query sends six
+    // plans, not the engine's seven: one of its base tuples already has
+    // every probe memoized by the queries before it.
+    let pinned = [
+        (1, 1),
+        (1, 1),
+        (1, 1),
+        (1, 1),
+        (1, 1),
+        (1, 1),
+        (1, 6),
+        (1, 17),
+    ];
+    let (server, cache) = serving_stack();
+    assert_eq!(
+        source_calls_per_query(&server, cache.inner(), &log),
+        pinned,
+        "pinned source calls for the log"
+    );
+    let cold = cache.inner().calls();
+    source_calls_per_query(&server, cache.inner(), &log);
+    assert_eq!(
+        cache.inner().calls(),
+        cold,
+        "a warm pass must not reach the source"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.deadline_missed, 0);
 }
