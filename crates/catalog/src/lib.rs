@@ -1,4 +1,14 @@
 #![warn(missing_docs)]
+// Panic-freedom: faults become typed errors, never panics (DESIGN.md
+// "Static analysis & invariants"); exceptions carry `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 //! # aimq-catalog
 //!

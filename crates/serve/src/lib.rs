@@ -1,4 +1,17 @@
 #![warn(missing_docs)]
+// Panic-freedom: faults become typed errors, never panics (DESIGN.md
+// "Static analysis & invariants"); exceptions carry `#[expect]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Determinism: no wall-clock reads or sleeps and no hash containers
+// (the lists live in the workspace `clippy.toml`).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 //! # aimq-serve
 //!

@@ -566,8 +566,7 @@ impl T {\n\
     fn rev(&self) { let r = lock(&self.right); let l = lock(&self.left); }\n\
 }\n";
         let files = analyses(&[a_then_b, b_then_a]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         let found = check_workspace(&refs);
         assert_eq!(found.len(), 2, "{found:#?}");
         assert!(found.iter().any(|(i, _)| *i == 0));
@@ -589,8 +588,7 @@ impl S {\n\
     fn two(&self) { let l = lock(&self.left); let r = lock(&self.right); }\n\
 }\n";
         let files = analyses(&[consistent]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         assert!(check_workspace(&refs).is_empty());
 
         // Indirect: `helper` acquires b; `outer` calls it holding a,
@@ -608,8 +606,7 @@ impl S {\n\
     fn other(&self) { let r = lock(&self.right); let l = lock(&self.left); }\n\
 }\n";
         let files = analyses(&[indirect]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         let found = check_workspace(&refs);
         assert!(
             found

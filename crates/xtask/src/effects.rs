@@ -528,18 +528,17 @@ fn check_match_wildcard(
             "_" if level == 1
                 && matches!(toks[k - 1].text.as_str(), "{" | "," | "}" | "|")
                 && toks.get(k + 1).is_some_and(|n| n.text == "=")
-                && toks.get(k + 2).is_some_and(|n| n.text == ">") =>
+                && toks.get(k + 2).is_some_and(|n| n.text == ">")
+                && !file.scanned.in_test_region(toks[k].offset) =>
             {
-                if !file.scanned.in_test_region(toks[k].offset) {
-                    push(
-                        toks[k].line,
-                        toks[k].col,
-                        "wildcard `_ =>` arm in a match over a fault enum: a newly added \
-                         fault variant would be silently absorbed"
-                            .to_string(),
-                        WILDCARD_HELP,
-                    );
-                }
+                push(
+                    toks[k].line,
+                    toks[k].col,
+                    "wildcard `_ =>` arm in a match over a fault enum: a newly added \
+                     fault variant would be silently absorbed"
+                        .to_string(),
+                    WILDCARD_HELP,
+                );
             }
             _ => {}
         }

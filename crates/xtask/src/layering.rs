@@ -139,7 +139,7 @@ fn toml_allow(line: &str) -> Option<Result<(), String>> {
             "allow directive is missing its `-- <justification>`".to_string()
         ));
     }
-    if rules.iter().any(|r| *r == "layering") {
+    if rules.contains(&"layering") {
         Some(Ok(()))
     } else {
         Some(Err(format!(
@@ -305,7 +305,7 @@ mod tests {
             Some(Err(_))
         ));
         assert!(matches!(
-            toml_allow("aimq-serve = {} # aimq-lint: allow(panic) -- nope"),
+            toml_allow("aimq-serve = {} # aimq-lint: allow(indexing) -- nope"),
             Some(Err(_))
         ));
         assert_eq!(toml_allow("aimq-serve = { path = \"../serve\" }"), None);

@@ -1,26 +1,17 @@
 //! `cargo xtask` — repo-specific static analysis for the AIMQ
 //! workspace.
 //!
-//! The headline command, `cargo xtask lint`, enforces four invariants
-//! that ordinary type-checking cannot (see DESIGN.md, "Static analysis
-//! & invariants"):
+//! The headline command, `cargo xtask lint`, enforces invariants that
+//! neither type-checking nor clippy can (see DESIGN.md, "Static
+//! analysis & invariants"). L1 panic-freedom, L3 hash-container
+//! determinism and L4 wall-clock independence are clippy's: the library
+//! crate roots deny the panic lints and `clippy::disallowed_{methods,
+//! types}` against the workspace `clippy.toml`. What stays here:
 //!
-//! - **L1 panic-freedom**: library crates route failures through the
-//!   `AimqError` taxonomy instead of panicking.
 //! - **L2 float-ordering safety**: similarity/importance scores are
 //!   compared with `f64::total_cmp`/`OrderedScore`, never the
-//!   NaN-unsafe `partial_cmp`.
-//! - **L3 mining determinism**: the mining/ranking/answering crates
-//!   (`afd`, `sim`, `rock`, `core`, `serve`) never use
-//!   `HashMap`/`HashSet`, whose iteration order varies run to run.
-//!   Insert-only membership sets that are never iterated are safe but
-//!   still flagged: each surviving use carries an
-//!   `aimq-lint: allow(hashmap)` justification recording the audit.
-//! - **L4 wall-clock independence**: the same crates never call
-//!   `std::thread::sleep` or `Instant::now()` — results and deadline
-//!   behavior replay over `VirtualClock` ticks, so real time must not
-//!   leak into them. Offline timing measurements (training-phase
-//!   stopwatches) carry an `aimq-lint: allow(wallclock)` justification.
+//!   NaN-unsafe `partial_cmp`, plus warn-level direct `expr[...]`
+//!   indexing (clippy's `indexing_slicing` misses `BTreeMap[&k]`).
 //!
 //! With the concurrent runtime (worker pool, striped cache, atomic
 //! stats), three structure-aware families joined (see the `structure`
@@ -101,39 +92,25 @@ pub mod source;
 pub mod structure;
 pub mod wire;
 
-pub use rules::{rule_info, Finding, RuleInfo, RuleSet, Severity, KNOWN_RULES, RULES};
+pub use rules::{rule_info, Finding, RuleInfo, Severity, KNOWN_RULES, RULES};
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Library crates under the panic-freedom + float-ordering rules.
-/// `http` joined with the network front door: a malformed request or a
-/// dying socket must become a typed 400/transport error, never a panic
-/// in a connection thread.
+/// Library crates under the float-ordering, indexing and concurrency
+/// rules — the same eight whose roots deny clippy's panic lints. `http`
+/// joined with the network front door: a malformed request or a dying
+/// socket must become a typed 400/transport error, never a panic in a
+/// connection thread.
 pub const PANIC_CRATES: &[&str] = &[
     "catalog", "storage", "afd", "sim", "rock", "core", "serve", "http",
 ];
 
-/// Crates whose outputs feed sorted/ranked results and therefore must
-/// not iterate hash containers or read the wall clock. `core` joined
-/// the list when the probe planner grew a `BTreeMap`-keyed memo;
-/// `serve` joined with the concurrent runtime, whose deadline and
-/// overload behavior replays over `VirtualClock` ticks; `storage`
-/// joined with the posting-list executor, whose row sets must come back
-/// byte-identical run over run — the engine's answers are replayable
-/// byte for byte, so any hash container or time source these crates
-/// hold must be audited (and justified). `http` is deliberately
-/// *absent*: sockets, read-timeout ticks, and the open-loop load
-/// generator's pacing are wall-clock by nature — the determinism
-/// boundary sits at `serve`, below the wire.
-pub const DETERMINISM_CRATES: &[&str] = &["afd", "sim", "rock", "core", "serve", "storage"];
-
 /// A rendered-ready diagnostic bound to a file.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`panic`, `indexing`, `float-ordering`, `hashmap`,
-    /// `wallclock`, `lock-discipline`, `atomics-audit`, `layering`,
-    /// `lint-allow`).
+    /// Rule id (`indexing`, `float-ordering`, `lock-discipline`, …,
+    /// `lint-allow`; see [`RULES`]).
     pub rule: String,
     /// Error or warning.
     pub severity: Severity,
@@ -182,7 +159,7 @@ impl LintReport {
 ///
 /// Pass 1 walks every `.rs` file under `crates/<name>/src/` (except
 /// `xtask` itself, whose docs quote directive syntax verbatim), runs
-/// the per-file rules the crate's [`RuleSet`] selects, and retains the
+/// the per-file rules over the [`PANIC_CRATES`], and retains the
 /// structural facts. Pass 2 runs the workspace-wide checks over those
 /// facts: the cross-file lock-ordering graph (L5) and the crate DAG
 /// (L7), with pass-2 findings filtered through each file's own
@@ -192,18 +169,12 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let (names, entries) = scan_workspace(root)?;
 
     for entry in &entries {
-        let ruleset = RuleSet {
-            panic_and_ordering: PANIC_CRATES.contains(&entry.crate_name.as_str()),
-            determinism: DETERMINISM_CRATES.contains(&entry.crate_name.as_str()),
-            concurrency: PANIC_CRATES.contains(&entry.crate_name.as_str()),
-        };
-        if ruleset.panic_and_ordering || ruleset.determinism {
+        if PANIC_CRATES.contains(&entry.crate_name.as_str()) {
             lint_scanned(
                 &entry.scanned,
                 &entry.analysis,
                 &entry.lines,
                 &entry.rel,
-                ruleset,
                 &mut report,
             );
         }
@@ -243,7 +214,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
 
     // Pass 2c: effect-system rules (L8 probe-effect over the shared
     // call graph, L9 result-discipline, L10 counter-arith) over every
-    // crate — bins and eval included, which carry no per-file ruleset.
+    // crate — bins and eval included, which the per-file rules skip.
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()
@@ -499,25 +470,25 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint one file's text under `ruleset`, appending to `report`.
+/// Lint one file's text with the per-file rules, appending to `report`.
 /// Standalone entry point (tests, single-file use); [`lint_root`]
 /// drives the shared implementation directly so it can retain the
 /// structural facts for the workspace passes.
-pub fn lint_file(text: &str, rel_path: &Path, ruleset: RuleSet, report: &mut LintReport) {
+pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
     let scanned = source::scan(text);
     let analysis = structure::analyze(&scanned);
     let lines: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
-    lint_scanned(&scanned, &analysis, &lines, rel_path, ruleset, report);
+    lint_scanned(&scanned, &analysis, &lines, rel_path, report);
 }
 
 /// Per-file pass over pre-scanned facts: directive hygiene, the
-/// token-level rules (L1–L4), and the file-local halves of L5/L6.
+/// token-level rules (L2 and indexing), and the file-local halves of
+/// L5/L6.
 fn lint_scanned(
     scanned: &source::ScannedFile,
     analysis: &structure::FileAnalysis,
     lines: &[String],
     rel_path: &Path,
-    ruleset: RuleSet,
     report: &mut LintReport,
 ) {
     let snippet = |line: usize| -> String {
@@ -563,10 +534,8 @@ fn lint_scanned(
         }
     }
 
-    let mut findings = rules::check(scanned, ruleset);
-    if ruleset.concurrency {
-        findings.extend(concurrency::check_file(analysis));
-    }
+    let mut findings = rules::check(scanned);
+    findings.extend(concurrency::check_file(analysis));
     for finding in findings {
         if scanned.is_allowed(finding.rule, finding.line) {
             continue;
@@ -618,26 +587,16 @@ mod tests {
     #[test]
     fn lint_file_reports_and_suppresses() {
         let src = "\
-fn risky(xs: &[f64]) -> f64 {
-    let v = xs.first().unwrap();
-    *v
+fn risky(a: f64, b: f64) -> bool {
+    a.partial_cmp(&b).is_some()
 }
-fn excused(xs: &[f64]) -> f64 {
-    // aimq-lint: allow(panic) -- the caller guarantees non-empty input
-    *xs.first().unwrap()
+fn excused(a: f64, b: f64) -> bool {
+    // aimq-lint: allow(float-ordering) -- the caller guarantees finite input
+    a.partial_cmp(&b).is_some()
 }
 ";
         let mut report = LintReport::default();
-        lint_file(
-            src,
-            Path::new("crates/afd/src/x.rs"),
-            RuleSet {
-                panic_and_ordering: true,
-                determinism: true,
-                concurrency: true,
-            },
-            &mut report,
-        );
+        lint_file(src, Path::new("crates/afd/src/x.rs"), &mut report);
         assert_eq!(report.errors(), 1, "{:#?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 2);
     }
@@ -645,18 +604,18 @@ fn excused(xs: &[f64]) -> f64 {
     #[test]
     fn render_is_rustc_shaped() {
         let diag = Diagnostic {
-            rule: "panic".into(),
+            rule: "float-ordering".into(),
             severity: Severity::Error,
             path: PathBuf::from("crates/afd/src/x.rs"),
             line: 2,
-            col: 24,
-            message: "`.unwrap()` in library code can panic".into(),
-            snippet: "    let v = xs.first().unwrap();".into(),
-            help: "propagate instead".into(),
+            col: 15,
+            message: "`.partial_cmp()` on scores is NaN-unsafe and breaks total ranking".into(),
+            snippet: "    let o = a.partial_cmp(&b);".into(),
+            help: "use `f64::total_cmp` instead".into(),
         };
         let text = render(&diag);
-        assert!(text.contains("error[aimq::panic]"));
-        assert!(text.contains("--> crates/afd/src/x.rs:2:24"));
+        assert!(text.contains("error[aimq::float-ordering]"));
+        assert!(text.contains("--> crates/afd/src/x.rs:2:15"));
         assert!(text.contains("= help:"));
     }
 }

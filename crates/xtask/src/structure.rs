@@ -653,16 +653,15 @@ fn orderings_in_parens(toks: &[Token], open: usize) -> Vec<String> {
                     break;
                 }
             }
-            "Ordering" => {
+            "Ordering"
                 if toks.get(k + 1).is_some_and(|c| c.text == ":")
                     && toks.get(k + 2).is_some_and(|c| c.text == ":")
                     && toks
                         .get(k + 3)
-                        .is_some_and(|v| ATOMIC_ORDERINGS.contains(&v.text.as_str()))
-                {
-                    out.push(toks[k + 3].text.clone());
-                    k += 3;
-                }
+                        .is_some_and(|v| ATOMIC_ORDERINGS.contains(&v.text.as_str())) =>
+            {
+                out.push(toks[k + 3].text.clone());
+                k += 3;
             }
             _ => {}
         }

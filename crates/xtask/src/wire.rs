@@ -310,8 +310,8 @@ fn conditional_spans(toks: &[Token], start: usize, end: usize) -> Vec<(usize, us
         }
         let Some(open) = open else { continue };
         let mut brace = 0i32;
-        for m in open..end {
-            match toks[m].text.as_str() {
+        for (m, tok) in toks.iter().enumerate().take(end).skip(open) {
+            match tok.text.as_str() {
                 "{" => brace += 1,
                 "}" => {
                     brace -= 1;
@@ -594,7 +594,7 @@ fn enum_definitions(files: &[WireFile]) -> BTreeMap<&'static str, Vec<String>> {
             let toks = &file.scanned.tokens;
             for k in 0..toks.len() {
                 if toks[k].text != "enum"
-                    || !toks.get(k + 1).is_some_and(|t| t.text == name)
+                    || toks.get(k + 1).is_none_or(|t| t.text != name)
                     || file.scanned.in_test_region(toks[k].offset)
                 {
                     continue;

@@ -4,12 +4,18 @@
 //!
 //! The fixtures are workspace-shaped (`<root>/crates/<name>/src/*.rs`)
 //! so `lint_root` applies the same crate-scoped rule selection it uses
-//! on the real repo: `catalog` gets the panic/float-ordering rules,
-//! `afd` additionally gets the determinism rule.
+//! on the real repo: `catalog` and `afd` get the float-ordering and
+//! indexing rules.
+//!
+//! Panic-freedom, the hash-container ban and the wall-clock ban are
+//! clippy's. Their cases live in the compilable fixture at
+//! `tests/fixtures/clippy/` (run by CI's `check` job); the tests here
+//! pin their scope: which crate roots deny which lints, and what the
+//! root `clippy.toml` bans.
 
 use std::path::{Path, PathBuf};
 
-use xtask::{lint_root, LintReport, Severity};
+use xtask::{lint_file, lint_root, LintReport, Severity, PANIC_CRATES};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -50,57 +56,148 @@ fn clean_fixture_passes() {
 }
 
 #[test]
-fn panic_fixture_fails_with_panic_rule() {
-    let report = lint("panic");
-    assert!(report.failed(false));
-    assert_eq!(rules_of(&report, Severity::Error), vec!["panic"]);
-    let diag = &report.diagnostics[0];
-    assert!(diag.message.contains(".unwrap()"), "{diag:#?}");
-    assert!(diag.path.starts_with("crates/catalog"), "{diag:#?}");
-}
-
-#[test]
 fn float_ordering_fixture_fails_with_float_rule() {
     let report = lint("float_ordering");
     assert!(report.failed(false));
     assert_eq!(rules_of(&report, Severity::Error), vec!["float-ordering"]);
-    // `.unwrap_or(...)` on the same expression must NOT also trip the
-    // panic rule — only the bare `.unwrap()`/`.expect(` forms panic.
+    // The `.unwrap_or(...)` on the same expression trips nothing else:
+    // the NaN-unsafe comparison is the one error.
     assert_eq!(report.errors(), 1, "{:#?}", report.diagnostics);
 }
 
+/// The six clippy lints behind panic-freedom, denied at every library
+/// crate root.
+const PANIC_LINTS: [&str; 6] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+];
+
+/// The two lints that enforce the root `clippy.toml` bans.
+const DETERMINISM_LINTS: [&str; 2] = ["clippy::disallowed_methods", "clippy::disallowed_types"];
+
+/// Crates whose outputs feed sorted or replayed results. `catalog`
+/// (`Schema::by_name` is a `HashMap`) and `http` (sockets and load
+/// pacing run on real time) stay outside.
+const DETERMINISM_SCOPE: [&str; 6] = ["afd", "sim", "rock", "core", "serve", "storage"];
+
+fn read_repo_file(rel: &str) -> String {
+    std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(rel))
+        .unwrap_or_else(|e| panic!("reading `{rel}`: {e}"))
+}
+
+/// Every lint named in a `#![deny(...)]` at the crate root.
+fn root_denies(crate_name: &str) -> Vec<String> {
+    let text = read_repo_file(&format!("crates/{crate_name}/src/lib.rs"));
+    text.split("#![deny(")
+        .skip(1)
+        .filter_map(|chunk| chunk.split(")]").next())
+        .flat_map(|body| body.split(','))
+        .map(|lint| lint.trim().to_string())
+        .filter(|lint| !lint.is_empty())
+        .collect()
+}
+
 #[test]
-fn hashmap_fixture_fails_only_in_determinism_crates() {
-    let report = lint("hashmap");
-    assert!(report.failed(false));
-    let errors = rules_of(&report, Severity::Error);
-    assert!(!errors.is_empty());
-    assert!(errors.iter().all(|r| *r == "hashmap"), "{errors:?}");
-    // `afd` is a determinism crate; `catalog` holds an identical
-    // HashMap use as a control and must stay silent.
-    for diag in &report.diagnostics {
+fn library_crate_roots_deny_the_panic_and_determinism_lints() {
+    assert_eq!(PANIC_CRATES.len(), 8, "{PANIC_CRATES:?}");
+    for crate_name in DETERMINISM_SCOPE {
         assert!(
-            diag.path.starts_with("crates/afd"),
-            "hashmap flagged outside the determinism crates: {diag:#?}"
+            PANIC_CRATES.contains(&crate_name),
+            "`{crate_name}` is determinism-scoped but not a library crate"
+        );
+    }
+    for crate_name in PANIC_CRATES {
+        let denies = root_denies(crate_name);
+        for lint in PANIC_LINTS {
+            assert!(
+                denies.iter().any(|d| d == lint),
+                "crates/{crate_name}/src/lib.rs must deny `{lint}`: {denies:?}"
+            );
+        }
+        let in_scope = DETERMINISM_SCOPE.contains(crate_name);
+        for lint in DETERMINISM_LINTS {
+            assert_eq!(
+                denies.iter().any(|d| d == lint),
+                in_scope,
+                "crates/{crate_name}/src/lib.rs: `{lint}` must be denied exactly in the \
+                 determinism crates {DETERMINISM_SCOPE:?}: {denies:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn clippy_toml_bans_the_wall_clock_and_hash_containers() {
+    let toml = read_repo_file("clippy.toml");
+    let list = |key: &str| -> String {
+        let start = toml
+            .find(&format!("{key} = ["))
+            .unwrap_or_else(|| panic!("clippy.toml has no `{key}` list"));
+        let rest = &toml[start..];
+        rest[..rest.find("\n]").unwrap_or(rest.len())].to_string()
+    };
+    let methods = list("disallowed-methods");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::time::Instant::elapsed",
+        "std::time::SystemTime::elapsed",
+        "std::thread::sleep",
+    ] {
+        assert!(
+            methods.contains(&format!("path = \"{path}\"")),
+            "clippy.toml must ban `{path}`: {methods}"
+        );
+    }
+    let types = list("disallowed-types");
+    for path in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            types.contains(&format!("path = \"{path}\"")),
+            "clippy.toml must ban `{path}`: {types}"
+        );
+    }
+    for key in [
+        "allow-unwrap-in-tests",
+        "allow-expect-in-tests",
+        "allow-panic-in-tests",
+    ] {
+        assert!(
+            toml.lines().any(|l| l.trim() == format!("{key} = true")),
+            "clippy.toml must set `{key} = true`"
         );
     }
 }
 
 #[test]
-fn wallclock_fixture_fails_only_in_determinism_crates() {
-    let report = lint("wallclock");
-    assert!(report.failed(false));
-    let errors = rules_of(&report, Severity::Error);
-    // The afd fixture plants an `Instant::now()`, a `thread::sleep(`,
-    // a `.elapsed()` readout and a `SystemTime::now()`; the justified
-    // stopwatch is suppressed.
-    assert_eq!(errors, vec!["wallclock"; 4], "{:#?}", report.diagnostics);
-    // `catalog` holds a bare `Instant::now()` plus the method-call
-    // decoys (`clock.now()`) as controls and must stay silent.
-    for diag in &report.diagnostics {
+fn retired_rule_allows_are_rejected_as_unknown() {
+    // `panic`, `hashmap` and `wallclock` moved to clippy. A leftover
+    // directive naming them suppresses nothing, so it must fail the run
+    // rather than pass for a working suppression.
+    let retired = ["panic", "hashmap", "wallclock"];
+    let src: String = retired
+        .iter()
+        .map(|rule| format!("// aimq-lint: allow({rule}) -- leftover\nfn {rule}_site() {{}}\n"))
+        .collect();
+    let mut report = LintReport::default();
+    lint_file(&src, Path::new("crates/afd/src/x.rs"), &mut report);
+    assert_eq!(report.errors(), retired.len(), "{:#?}", report.diagnostics);
+    for rule in retired {
         assert!(
-            diag.path.starts_with("crates/afd"),
-            "wallclock flagged outside the determinism crates: {diag:#?}"
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.rule == "lint-allow"
+                    && d.message.contains(&format!("unknown rule `{rule}`"))),
+            "`allow({rule})` must be an unknown-rule error: {:#?}",
+            report.diagnostics
+        );
+        assert!(
+            xtask::rule_info(rule).is_none(),
+            "`--explain {rule}` must fail"
         );
     }
 }
@@ -111,16 +208,11 @@ fn bad_allow_fixture_rejects_malformed_directives() {
     assert!(report.failed(false));
     let errors = rules_of(&report, Severity::Error);
     // One unjustified allow + one unknown-rule allow, and since neither
-    // directive is well-formed-and-matching, both unwraps still fire.
+    // directive is well-formed-and-matching, both indexings still fire.
+    assert_eq!(errors, vec!["lint-allow"; 2], "{:#?}", report.diagnostics);
     assert_eq!(
-        errors.iter().filter(|r| **r == "lint-allow").count(),
-        2,
-        "{:#?}",
-        report.diagnostics
-    );
-    assert_eq!(
-        errors.iter().filter(|r| **r == "panic").count(),
-        2,
+        rules_of(&report, Severity::Warning),
+        vec!["indexing"; 2],
         "malformed allows must not suppress the violation they sit on: {:#?}",
         report.diagnostics
     );
@@ -134,7 +226,9 @@ fn bad_allow_fixture_rejects_malformed_directives() {
         "{messages:#?}"
     );
     assert!(
-        messages.iter().any(|m| m.contains("unknown rule `pannic`")),
+        messages
+            .iter()
+            .any(|m| m.contains("unknown rule `indexng`")),
         "{messages:#?}"
     );
 }
