@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the posting-list executor: the wall-clock
 //! side of the shared-plan story. The eval runner
 //! (`cargo run -p aimq-bench --release --bin postings`) counts the
-//! posting terms and intersections the plan memo eliminates; this bench
+//! terms, drivers and row filters the plan memo eliminates; this bench
 //! measures what selection and plan execution cost end to end on CarDB
 //! at the Figure 3/4 sample sizes — (a) one-shot selection through the
 //! posting path, and (b) a whole

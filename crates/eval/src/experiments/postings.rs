@@ -7,8 +7,8 @@
 //! predicate from the same fully bound tuple query, and the base query
 //! itself recurs across plans. A source that executes the plan through
 //! the [`aimq_storage::PlanExecutor`] evaluates each distinct
-//! per-attribute posting term once and each distinct conjunction prefix
-//! once, instead of re-scanning per query.
+//! per-attribute term once and folds each distinct ordered conjunction
+//! prefix once, instead of re-evaluating per query.
 //!
 //! The workload mirrors the Figure 3/4 robustness experiments: CarDB at
 //! the paper's sample sizes (15k/25k/50k and the full 100k relation),
@@ -22,9 +22,10 @@
 //! - **identity** — the shared executor, the one-shot posting path and
 //!   a naive full scan return byte-identical row sets for every plan
 //!   member;
-//! - **sharing** — posting terms evaluated and intersections computed
-//!   by the shared executor vs what the same plans cost one-shot, from
-//!   the executor's own meters ([`aimq_storage::ExecStats`]).
+//! - **sharing** — terms resolved, drivers materialized and row filters
+//!   applied by the shared executor vs what the same plans cost
+//!   one-shot, from the executor's own meters
+//!   ([`aimq_storage::ExecStats`]).
 //!
 //! Wall-clock speedups for the same workloads are measured by the
 //! `postings` Criterion bench and recorded in
@@ -46,20 +47,24 @@ pub struct PostingsOutcome {
     pub n_plans: usize,
     /// Total queries across all plans (plan members, duplicates kept).
     pub plan_queries: u64,
-    /// Posting terms the shared executors actually evaluated.
+    /// Terms the shared executors actually resolved.
     pub terms_evaluated: u64,
-    /// Term evaluations answered from the per-plan memo.
+    /// Term resolutions answered from the per-plan memo.
     pub term_memo_hits: u64,
-    /// Pairwise intersections the shared executors actually computed.
-    pub intersections_computed: u64,
+    /// First terms the shared executors materialized.
+    pub drivers_materialized: u64,
+    /// Row filters the shared executors actually applied.
+    pub filters_applied: u64,
     /// Conjunction prefixes answered from the per-plan memo.
     pub prefix_memo_hits: u64,
-    /// Terms a memo-less one-shot executor evaluates for the same plans.
+    /// Terms a memo-less one-shot executor resolves for the same plans.
     pub one_shot_terms: u64,
-    /// Intersections a memo-less one-shot executor computes.
-    pub one_shot_intersections: u64,
-    /// `1 − shared/one-shot` over terms + intersections: the fraction
-    /// of posting work the plan memo eliminated.
+    /// Drivers plus filters a memo-less one-shot executor runs: one per
+    /// fold prefix of every query.
+    pub one_shot_folds: u64,
+    /// `1 − shared/one-shot` over drivers + filters (the steps that
+    /// build a row list): the fraction of fold work the plan memo
+    /// eliminated.
     pub work_shared: f64,
     /// Whether shared and one-shot execution returned byte-identical row
     /// sets (and the naive scan agreed) for every plan member.
@@ -85,7 +90,8 @@ impl PostingsResult {
                 "queries",
                 "terms",
                 "term hits",
-                "intersections",
+                "drivers",
+                "filters",
                 "prefix hits",
                 "one-shot work",
                 "work shared",
@@ -99,9 +105,10 @@ impl PostingsResult {
                 o.plan_queries.to_string(),
                 o.terms_evaluated.to_string(),
                 o.term_memo_hits.to_string(),
-                o.intersections_computed.to_string(),
+                o.drivers_materialized.to_string(),
+                o.filters_applied.to_string(),
                 o.prefix_memo_hits.to_string(),
-                (o.one_shot_terms + o.one_shot_intersections).to_string(),
+                o.one_shot_folds.to_string(),
                 format!("{:.1}%", o.work_shared * 100.0),
                 o.identical.to_string(),
             ]);
@@ -171,27 +178,30 @@ fn outcome_for(relation: &Relation, n_plans: usize, seed: u64) -> PostingsOutcom
             fresh.execute(query);
             let f = fresh.stats();
             one_shot.terms_evaluated += f.terms_evaluated;
-            one_shot.intersections_computed += f.intersections_computed;
+            one_shot.drivers_materialized += f.drivers_materialized;
+            one_shot.filters_applied += f.filters_applied;
         }
         let s = exec.stats();
         shared.terms_evaluated += s.terms_evaluated;
         shared.term_memo_hits += s.term_memo_hits;
-        shared.intersections_computed += s.intersections_computed;
+        shared.drivers_materialized += s.drivers_materialized;
+        shared.filters_applied += s.filters_applied;
         shared.prefix_memo_hits += s.prefix_memo_hits;
     }
 
-    let one_shot_work = one_shot.terms_evaluated + one_shot.intersections_computed;
-    let shared_work = shared.terms_evaluated + shared.intersections_computed;
+    let one_shot_work = one_shot.drivers_materialized + one_shot.filters_applied;
+    let shared_work = shared.drivers_materialized + shared.filters_applied;
     PostingsOutcome {
         rows: relation.len(),
         n_plans: plans.len(),
         plan_queries,
         terms_evaluated: shared.terms_evaluated,
         term_memo_hits: shared.term_memo_hits,
-        intersections_computed: shared.intersections_computed,
+        drivers_materialized: shared.drivers_materialized,
+        filters_applied: shared.filters_applied,
         prefix_memo_hits: shared.prefix_memo_hits,
         one_shot_terms: one_shot.terms_evaluated,
-        one_shot_intersections: one_shot.intersections_computed,
+        one_shot_folds: one_shot_work,
         work_shared: if one_shot_work == 0 {
             0.0
         } else {
@@ -252,7 +262,7 @@ mod tests {
             );
             assert!(o.terms_evaluated <= o.one_shot_terms, "{o:?}");
             assert!(
-                o.intersections_computed <= o.one_shot_intersections,
+                o.drivers_materialized + o.filters_applied <= o.one_shot_folds,
                 "{o:?}"
             );
         }

@@ -41,18 +41,11 @@ pub fn exchange(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<Reply> {
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: aimq\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
+    send(stream, method, path, body.unwrap_or(""))?;
     read_reply(stream)
 }
 
-/// Connect, perform one exchange, and close.
+/// Connect with Nagle's algorithm off, perform one exchange, and close.
 pub fn request(
     addr: SocketAddr,
     method: &str,
@@ -60,7 +53,21 @@ pub fn request(
     body: Option<&str>,
 ) -> io::Result<Reply> {
     let mut stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     exchange(&mut stream, method, path, body)
+}
+
+/// Write one request as a single buffer: a separate body write would sit
+/// behind the unacknowledged head until the peer's delayed ACK fires.
+fn send(stream: &mut impl Write, method: &str, path: &str, body: &str) -> io::Result<()> {
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nhost: aimq\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body.as_bytes());
+    stream.write_all(&request)?;
+    stream.flush()
 }
 
 /// Read one framed response from the stream.
@@ -111,4 +118,41 @@ fn read_reply(stream: &mut TcpStream) -> io::Result<Reply> {
         headers,
         body,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records the buffer of every `write` call.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn request_is_framed_as_one_buffer() {
+        let mut writes = Writes::default();
+        send(&mut writes, "POST", "/indexes/cars/search", r#"{"q":1}"#).unwrap();
+        assert_eq!(
+            writes.0,
+            vec![b"POST /indexes/cars/search HTTP/1.1\r\nhost: aimq\r\ncontent-length: 7\r\n\r\n{\"q\":1}".to_vec()]
+        );
+
+        let mut writes = Writes::default();
+        send(&mut writes, "GET", "/health", "").unwrap();
+        assert_eq!(
+            writes.0,
+            vec![b"GET /health HTTP/1.1\r\nhost: aimq\r\ncontent-length: 0\r\n\r\n".to_vec()]
+        );
+    }
 }

@@ -5,10 +5,10 @@ use crate::{Relation, RowId};
 /// Evaluate a boolean conjunctive selection over a relation, returning
 /// matching row ids in ascending order.
 ///
-/// Routes through [`crate::postings`]: every predicate class reduces to
-/// an exact sorted row set (inverted postings for categorical equality,
-/// facet-tree position ranges for numeric bounds) and the conjunction is
-/// a galloping intersection — no per-row verification pass. Plans of
+/// Routes through [`crate::postings`]: every predicate class resolves to
+/// an exact term (inverted postings for categorical equality, sorted
+/// position ranges for numeric bounds); the smallest term is
+/// materialized and the rest filter it row by row. Plans of
 /// overlapping queries should share a [`crate::PlanExecutor`] instead of
 /// calling this per query.
 pub fn execute_rows(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {

@@ -2,10 +2,9 @@
 //!
 //! The sorted index `[(value, row)]` answers a range predicate with two
 //! binary searches, but the rows it yields come back in *value* order —
-//! useless for the posting-list set algebra in [`crate::postings`], which
-//! needs row-id-sorted lists to intersect. Re-sorting the slice per query
-//! is O(m log m) on every probe; wide relaxation ranges pay it over and
-//! over.
+//! useless as the driver of a fold in [`crate::postings`], which filters
+//! a row-id-sorted list. Re-sorting the slice per query is O(m log m) on
+//! every probe; wide relaxation ranges pay it over and over.
 //!
 //! The facet tree (after MeiliDB/milli's facet-range search) trades a
 //! modest amount of build-time memory for O(edges) range evaluation: leaf

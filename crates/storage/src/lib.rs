@@ -78,7 +78,7 @@ pub use fault::{FaultInjectingWebDb, FaultProfile, RateLimitWindow, TruncationPo
 pub use federated::{
     FederatedSource, FederatedWebDb, FederationPolicy, SchemaMapping, SourceHealth, SourceSpec,
 };
-pub use postings::{execute_query, intersect_gallop, union_kway, ExecStats, PlanExecutor};
+pub use postings::{execute_query, union_kway, ExecStats, PlanExecutor};
 pub use relation::{Relation, RelationBuilder, RowId};
 pub use resilient::{ResilienceReport, ResilientWebDb, RetryPolicy, VirtualClock};
 pub use sampler::{probe_by_spanning_queries, random_sample, ProbeError};

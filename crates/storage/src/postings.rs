@@ -1,4 +1,4 @@
-//! Posting-list set algebra and the shared relaxation-plan executor.
+//! Posting-list selection and the shared relaxation-plan executor.
 //!
 //! Algorithm 1 compiles one imprecise query into dozens of heavily
 //! overlapping relaxed selections: every relaxed query of a base tuple's
@@ -6,67 +6,38 @@
 //! entries share almost all of their conjuncts. Evaluating each query
 //! independently re-pays the shared work on every probe.
 //!
-//! This module evaluates selections as *set algebra over posting lists*:
+//! This module evaluates a selection as a *smallest-term-first fold*:
 //!
-//! * every categorical equality predicate maps to its inverted-index
-//!   posting list (ascending row ids by construction);
-//! * every numeric attribute's combined range predicates map, via
-//!   `partition_point` over the value-sorted index, to a position range
-//!   answered row-id-sorted by the attribute's [`crate::FacetTree`];
-//! * a conjunction is the galloping intersection of its per-attribute
-//!   term lists, folded in ascending attribute order.
+//! * every attribute's predicate group resolves to a lazy **term** whose
+//!   exact row count is known without building its row list — a
+//!   categorical equality keeps its dictionary code and borrows its
+//!   inverted-index posting list; a numeric group keeps its
+//!   `partition_point` position range over the value-sorted index and
+//!   the values at the range's two ends;
+//! * the terms fold in ascending `(cardinality, AttrId)` order; only the
+//!   first (the *driver*) is materialized — a borrowed posting, or the
+//!   attribute's [`crate::FacetTree`] for a numeric range;
+//! * every later term is a row filter over the running list, reading
+//!   the column's codes or numbers with the IEEE comparisons of
+//!   [`Predicate::matches`].
 //!
-//! Every predicate class reduces to an *exact* row set (type-mismatched,
-//! non-equality-on-categorical and null/NaN-valued predicates are
-//! provably empty), so no per-row verification pass remains and results
-//! are byte-identical to a full scan.
+//! Every predicate class resolves to an *exact* term (type-mismatched,
+//! non-equality-on-categorical, contradictory and null/NaN-valued groups
+//! are provably empty), so no verification pass remains and results are
+//! byte-identical to a full scan, in ascending row order.
 //!
-//! [`PlanExecutor`] adds the sharing layer: terms and every intersection
-//! *prefix* (in the canonical attribute fold order) are memoized across
-//! the queries of one plan, so the common base intersection `Qpr` is
-//! evaluated exactly once and each relaxed query only pays its delta.
-//! [`ExecStats`] meters the sharing for tests and benchmarks.
+//! [`PlanExecutor`] adds the sharing layer: terms and every fold
+//! *prefix* (in the cardinality order) are memoized across the queries
+//! of one plan, so the base query's conjunction is evaluated exactly
+//! once and each relaxed query only pays its delta. [`ExecStats`]
+//! meters the sharing for tests and benchmarks.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use aimq_catalog::{AttrId, Domain, Predicate, PredicateOp, SelectionQuery};
 
-use crate::{Relation, RowId};
-
-/// Intersect two ascending, duplicate-free row-id lists by galloping
-/// (exponential search) through the larger one.
-///
-/// For each element of the smaller list the cursor in the larger list
-/// advances by doubling probes followed by a binary search inside the
-/// overshot window, so the cost is `O(m · log(n/m))` — near-linear in
-/// the smaller list when the lists' densities differ, degrading
-/// gracefully to a merge when they are similar.
-pub fn intersect_gallop(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
-    let mut rest = large;
-    for &x in small {
-        if rest.is_empty() {
-            break;
-        }
-        // Gallop: double the probe width until the window's last element
-        // reaches `x` (or the list ends), then binary-search the window.
-        let mut width = 1usize;
-        while rest.get(width - 1).is_some_and(|&y| y < x) {
-            width <<= 1;
-        }
-        let window = rest.get(..width.min(rest.len())).unwrap_or(rest);
-        let skip = window.partition_point(|&y| y < x);
-        rest = rest.get(skip..).unwrap_or(&[]);
-        if let Some(&y) = rest.first() {
-            if y == x {
-                out.push(x);
-                rest = rest.get(1..).unwrap_or(&[]);
-            }
-        }
-    }
-    out
-}
+use crate::{FacetTree, Relation, RowId};
 
 /// K-way merge union of ascending row-id lists into one ascending,
 /// duplicate-free list.
@@ -96,47 +67,119 @@ pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
     out
 }
 
-/// Sharing meters of a [`PlanExecutor`]: how much term and intersection
-/// work the plan's queries shared. `prefix_memo_hits` growing while
-/// `intersections_computed` stands still is the executor-level proof
-/// that a repeated subexpression — the `Qpr` base intersection above
-/// all — was evaluated exactly once.
+/// Sharing meters of a [`PlanExecutor`]. Every fold prefix a query
+/// walks is either a memo hit or exactly one driver materialization
+/// (length-1 prefix) or one row filter (longer prefix), so
+/// `drivers_materialized + filters_applied` counts the distinct ordered
+/// prefixes of the plan, and a query whose every prefix was already
+/// folded — a re-probed base query — moves `prefix_memo_hits` alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Queries evaluated through [`PlanExecutor::execute`].
     // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub queries_executed: u64,
-    /// Per-attribute terms materialized into posting lists (term-memo
-    /// misses).
+    /// Per-attribute terms resolved to lazy handles (term-memo misses);
+    /// resolving builds no row list.
     // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub terms_evaluated: u64,
-    /// Terms answered by the term memo without re-evaluation.
+    /// Terms answered by the term memo without re-resolution.
     // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub term_memo_hits: u64,
-    /// Pairwise intersections actually computed (prefix-memo misses).
+    /// First terms materialized into a row list (length-1 prefix-memo
+    /// misses): a borrowed posting or a facet-tree range.
     // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub intersections_computed: u64,
-    /// Fold prefixes answered by the shared-prefix memo — subexpressions
+    pub drivers_materialized: u64,
+    /// Row filters run over a running list (longer prefix-memo misses).
+    // aimq-arith: counter -- sharing meter, read by tests/benches only
+    pub filters_applied: u64,
+    /// Fold prefixes answered by the prefix memo — subexpressions
     /// (including whole queries) this plan did *not* re-evaluate.
     // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub prefix_memo_hits: u64,
+}
+
+/// One attribute's predicate group, resolved to a handle whose exact row
+/// count is known without building its row list.
+#[derive(Debug, Clone, Copy)]
+enum Term<'a> {
+    /// Provably matches no row.
+    Empty,
+    /// Categorical equality: the code's posting list, and the column's
+    /// codes to filter against.
+    Code {
+        code: u32,
+        postings: &'a [RowId],
+        codes: &'a [u32],
+    },
+    /// Numeric group: the non-empty position range `[start, end)` of the
+    /// value-sorted index, the values at its two ends, the attribute's
+    /// facet tree to materialize it and its column to filter against.
+    Range {
+        start: usize,
+        end: usize,
+        low: f64,
+        high: f64,
+        tree: &'a FacetTree,
+        numbers: &'a [f64],
+    },
+}
+
+impl<'a> Term<'a> {
+    /// Exact number of matching rows.
+    fn len(&self) -> usize {
+        match *self {
+            Term::Empty => 0,
+            Term::Code { postings, .. } => postings.len(),
+            Term::Range { start, end, .. } => end - start,
+        }
+    }
+
+    /// The term's ascending row list — borrowed where the relation
+    /// already stores it.
+    fn materialize(&self) -> Cow<'a, [RowId]> {
+        match *self {
+            Term::Empty => Cow::Borrowed(&[]),
+            Term::Code { postings, .. } => Cow::Borrowed(postings),
+            Term::Range {
+                start, end, tree, ..
+            } => Cow::Owned(tree.rows_in_positions(start, end)),
+        }
+    }
+
+    /// Whether `row` matches the term. A range term keeps exactly the
+    /// rows whose value `x` has `low <= x <= high`: `partition_point`
+    /// over IEEE comparisons never splits an IEEE-equal run (`-0.0`,
+    /// `0.0`) of the `total_cmp`-sorted index, so this is membership in
+    /// `[start, end)`, and a NaN (null) value fails both comparisons.
+    fn keeps(&self, row: RowId) -> bool {
+        let row = row as usize;
+        match *self {
+            Term::Empty => false,
+            Term::Code { code, codes, .. } => codes.get(row) == Some(&code),
+            Term::Range {
+                low, high, numbers, ..
+            } => numbers.get(row).is_some_and(|&x| low <= x && x <= high),
+        }
+    }
 }
 
 /// Evaluates the queries of one relaxation plan over a shared
 /// subexpression DAG.
 ///
 /// Each query canonicalizes into per-attribute predicate groups
-/// ("terms") folded in ascending attribute order. Two memo layers make
-/// the plan's overlap free:
+/// ("terms") folded smallest first: in ascending `(cardinality,
+/// AttrId)` order, the first term materialized and every later one a
+/// row filter. Two memo layers make the plan's overlap free:
 ///
 /// 1. **Term memo** — a term (one attribute's full predicate group)
-///    evaluates to a posting list once, however many queries contain it.
-/// 2. **Prefix memo** — every fold prefix `t₁ ∩ t₂ ∩ … ∩ tᵢ` is
-///    memoized under its term-id sequence. Queries sharing a prefix
-///    (every relaxed query shares its leading terms with the base
-///    query) reuse the stored intersection and only intersect their
-///    delta; a query whose full term sequence was already folded — the
-///    base query re-probed, or a duplicate plan entry — costs nothing.
+///    resolves once, however many queries contain it.
+/// 2. **Prefix memo** — every fold prefix `t₁, t₂, …, tᵢ` is memoized
+///    under its ordered term-id sequence. The order depends only on the
+///    query's set of terms, so queries sharing their smallest terms
+///    (every relaxed query keeps most of the base query's) reuse the
+///    stored list and only filter their delta; a query whose full term
+///    sequence was already folded — the base query re-probed, or a
+///    duplicate plan entry — costs only memo lookups.
 ///
 /// Lists live in an arena; memo values are arena indexes, so sharing a
 /// subexpression never copies it. The executor borrows its relation and
@@ -145,12 +188,12 @@ pub struct ExecStats {
 #[derive(Debug)]
 pub struct PlanExecutor<'a> {
     relation: &'a Relation,
-    /// Arena of evaluated row lists (terms and intersections).
-    arena: Vec<Vec<RowId>>,
-    /// Term memo: canonical per-attribute predicate group → arena index.
-    terms: BTreeMap<Vec<Predicate>, usize>,
-    /// Prefix memo: term arena-index sequence (canonical fold order) →
-    /// arena index of the intersection.
+    /// Arena of fold results: borrowed postings and owned row lists.
+    arena: Vec<Cow<'a, [RowId]>>,
+    /// Term memo: canonical per-attribute predicate group → term id
+    /// (its insertion ordinal) and resolved term.
+    terms: BTreeMap<Vec<Predicate>, (usize, Term<'a>)>,
+    /// Prefix memo: term-id sequence in fold order → arena index.
     prefixes: BTreeMap<Vec<usize>, usize>,
     stats: ExecStats,
 }
@@ -178,8 +221,6 @@ impl<'a> PlanExecutor<'a> {
     pub fn execute(&mut self, query: &SelectionQuery) -> Vec<RowId> {
         self.stats.queries_executed = self.stats.queries_executed.saturating_add(1);
 
-        // Canonical per-attribute term grouping: ascending attribute
-        // order aligns fold prefixes across the plan's queries.
         let mut groups: BTreeMap<AttrId, Vec<Predicate>> = BTreeMap::new();
         for p in query.canonicalize().predicates() {
             groups.entry(p.attr).or_default().push(p.clone());
@@ -188,56 +229,53 @@ impl<'a> PlanExecutor<'a> {
             // No predicates: every row matches.
             return self.relation.rows().collect();
         }
+        let mut order: Vec<(usize, Term<'a>)> =
+            groups.into_values().map(|g| self.term(g)).collect();
+        // Stable: equal cardinalities keep ascending attribute order.
+        order.sort_by_key(|(_, term)| term.len());
 
-        let mut prefix: Vec<usize> = Vec::with_capacity(groups.len());
+        let mut prefix: Vec<usize> = Vec::with_capacity(order.len());
         let mut current: Option<usize> = None;
-        for (_, group) in groups {
-            let term = self.term_list(group);
-            prefix.push(term);
-            current = Some(match self.prefixes.get(&prefix) {
-                Some(&idx) => {
-                    self.stats.prefix_memo_hits = self.stats.prefix_memo_hits.saturating_add(1);
-                    idx
-                }
+        for (id, term) in order {
+            prefix.push(id);
+            if let Some(&idx) = self.prefixes.get(&prefix) {
+                self.stats.prefix_memo_hits = self.stats.prefix_memo_hits.saturating_add(1);
+                current = Some(idx);
+                continue;
+            }
+            let rows = match current.and_then(|idx| self.arena.get(idx)) {
                 None => {
-                    let idx = match current {
-                        // A one-term prefix *is* its term: alias, don't copy.
-                        None => term,
-                        Some(acc) => {
-                            self.stats.intersections_computed =
-                                self.stats.intersections_computed.saturating_add(1);
-                            let merged = intersect_gallop(
-                                self.arena.get(acc).map_or(&[], Vec::as_slice),
-                                self.arena.get(term).map_or(&[], Vec::as_slice),
-                            );
-                            self.arena.push(merged);
-                            self.arena.len() - 1
-                        }
-                    };
-                    self.prefixes.insert(prefix.clone(), idx);
-                    idx
+                    self.stats.drivers_materialized =
+                        self.stats.drivers_materialized.saturating_add(1);
+                    term.materialize()
                 }
-            });
+                Some(running) => {
+                    self.stats.filters_applied = self.stats.filters_applied.saturating_add(1);
+                    Cow::Owned(running.iter().copied().filter(|&r| term.keeps(r)).collect())
+                }
+            };
+            self.arena.push(rows);
+            let idx = self.arena.len() - 1;
+            self.prefixes.insert(prefix.clone(), idx);
+            current = Some(idx);
         }
         current
             .and_then(|idx| self.arena.get(idx))
-            .cloned()
+            .map(|rows| rows.to_vec())
             .unwrap_or_default()
     }
 
-    /// Arena index of the evaluated term for one attribute's canonical
-    /// predicate group, via the term memo.
-    fn term_list(&mut self, group: Vec<Predicate>) -> usize {
-        if let Some(&idx) = self.terms.get(&group) {
+    /// Id and resolved term of one attribute's canonical predicate
+    /// group, via the term memo.
+    fn term(&mut self, group: Vec<Predicate>) -> (usize, Term<'a>) {
+        if let Some(&entry) = self.terms.get(&group) {
             self.stats.term_memo_hits = self.stats.term_memo_hits.saturating_add(1);
-            return idx;
+            return entry;
         }
         self.stats.terms_evaluated = self.stats.terms_evaluated.saturating_add(1);
-        let rows = evaluate_term(self.relation, &group);
-        self.arena.push(rows);
-        let idx = self.arena.len() - 1;
-        self.terms.insert(group, idx);
-        idx
+        let entry = (self.terms.len(), resolve_term(self.relation, &group));
+        self.terms.insert(group, entry);
+        entry
     }
 }
 
@@ -247,8 +285,7 @@ pub fn execute_query(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> 
     PlanExecutor::new(relation).execute(query)
 }
 
-/// Evaluate one attribute's predicate group to its exact ascending row
-/// set.
+/// Resolve one attribute's predicate group to its exact term.
 ///
 /// Exactness case analysis against [`Predicate::matches`]:
 ///
@@ -266,49 +303,49 @@ pub fn execute_query(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> 
 ///   `Eq v` the band `[first ≥ v, first > v)` — exact for `±0.0`
 ///   (IEEE comparisons are monotone over the `total_cmp` order and
 ///   collapse the zero pair exactly as `Value`'s equality does) and for
-///   `±∞` (no `next_up` widening of a half-open bound).
-fn evaluate_term(relation: &Relation, group: &[Predicate]) -> Vec<RowId> {
-    let Some(attribute) = relation
-        .schema()
-        .attributes()
-        .get(group.first().map(|p| p.attr.index()).unwrap_or(usize::MAX))
-    else {
-        return Vec::new();
+///   `±∞` (no `next_up` widening of a half-open bound); an empty range
+///   (contradictory bounds included) → empty.
+fn resolve_term<'a>(relation: &'a Relation, group: &[Predicate]) -> Term<'a> {
+    let attr = group.first().map_or(AttrId(usize::MAX), |p| p.attr);
+    let Some(attribute) = relation.schema().attributes().get(attr.index()) else {
+        return Term::Empty;
     };
     if group.iter().any(|p| p.value.is_null()) {
-        return Vec::new();
+        return Term::Empty;
     }
     match attribute.domain() {
         Domain::Categorical => {
             let mut value: Option<&str> = None;
             for p in group {
                 let (PredicateOp::Eq, Some(cat)) = (p.op, p.value.as_cat()) else {
-                    return Vec::new();
+                    return Term::Empty;
                 };
                 match value {
-                    Some(v) if v != cat => return Vec::new(),
+                    Some(v) if v != cat => return Term::Empty,
                     _ => value = Some(cat),
                 }
             }
-            let attr = group.first().map(|p| p.attr);
-            match (attr, value) {
-                (Some(attr), Some(cat)) => relation.rows_with_value(attr, cat).to_vec(),
-                _ => Vec::new(),
+            let column = relation.column(attr);
+            let code = value.and_then(|v| column.dictionary().and_then(|d| d.code_of(v)));
+            match (code, column.codes()) {
+                (Some(code), Some(codes)) => Term::Code {
+                    code,
+                    postings: relation.rows_with_code(attr, code),
+                    codes,
+                },
+                _ => Term::Empty,
             }
         }
         Domain::Numeric => {
-            let Some(attr) = group.first().map(|p| p.attr) else {
-                return Vec::new();
-            };
             let index = relation.numeric_sorted(attr);
             let mut start = 0usize;
             let mut end = index.len();
             for p in group {
                 let Some(v) = p.value.as_num() else {
-                    return Vec::new();
+                    return Term::Empty;
                 };
                 if v.is_nan() {
-                    return Vec::new();
+                    return Term::Empty;
                 }
                 // `partition_point` with IEEE comparisons: monotone over
                 // the NaN-free `total_cmp` order, exact at ±0.0 and ±∞.
@@ -324,22 +361,24 @@ fn evaluate_term(relation: &Relation, group: &[Predicate]) -> Vec<RowId> {
                 }
             }
             if start >= end {
-                return Vec::new();
+                return Term::Empty;
             }
-            match relation.facet_tree(attr) {
-                Some(tree) => tree.rows_in_positions(start, end),
-                None => {
-                    // No tree (categorical attr can't reach here; defensive):
-                    // sort the sliced positions directly.
-                    let mut rows: Vec<RowId> = index
-                        .get(start..end)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|&(_, row)| row)
-                        .collect();
-                    rows.sort_unstable();
-                    rows
-                }
+            // `Relation::build` gives every numeric column a tree.
+            match (
+                index.get(start),
+                index.get(end - 1),
+                relation.facet_tree(attr),
+                relation.column(attr).numbers(),
+            ) {
+                (Some(&(low, _)), Some(&(high, _)), Some(tree), Some(numbers)) => Term::Range {
+                    start,
+                    end,
+                    low,
+                    high,
+                    tree,
+                    numbers,
+                },
+                _ => Term::Empty,
             }
         }
     }
@@ -350,21 +389,6 @@ mod tests {
     use super::*;
     use aimq_catalog::{Schema, Tuple, Value};
     use proptest::prelude::*;
-
-    #[test]
-    fn gallop_intersection_basics() {
-        assert_eq!(intersect_gallop(&[], &[1, 2, 3]), Vec::<RowId>::new());
-        assert_eq!(intersect_gallop(&[1, 2, 3], &[]), Vec::<RowId>::new());
-        assert_eq!(
-            intersect_gallop(&[1, 3, 5], &[2, 4, 6]),
-            Vec::<RowId>::new()
-        );
-        assert_eq!(intersect_gallop(&[1, 2, 3], &[1, 2, 3]), vec![1, 2, 3]);
-        assert_eq!(
-            intersect_gallop(&[2, 4, 9, 100], &[0, 2, 5, 9, 10, 11, 12, 99, 100, 101]),
-            vec![2, 9, 100]
-        );
-    }
 
     #[test]
     fn union_kway_basics() {
@@ -379,18 +403,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn gallop_matches_reference_intersection(
-            a in prop::collection::vec(0u32..200, 0..80),
-            b in prop::collection::vec(0u32..200, 0..80),
-        ) {
-            let (mut a, mut b) = (a, b);
-            a.sort_unstable(); a.dedup();
-            b.sort_unstable(); b.dedup();
-            let expect: Vec<RowId> = a.iter().copied().filter(|x| b.contains(x)).collect();
-            prop_assert_eq!(intersect_gallop(&a, &b), expect);
-        }
 
         #[test]
         fn union_matches_reference_union(
@@ -494,8 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_plan_evaluates_base_intersection_exactly_once() {
+    fn shared_plan_folds_each_ordered_prefix_exactly_once() {
         let r = relation();
+        // Make=Toyota matches 3 rows, Model=Camry 2 and Year=2000 2, so
+        // the base query folds Model, Year (the tie goes to the lower
+        // attribute), then Make.
         let base = SelectionQuery::new(vec![
             Predicate::eq(AttrId(0), Value::cat("Toyota")),
             Predicate::eq(AttrId(1), Value::cat("Camry")),
@@ -518,25 +533,62 @@ mod tests {
         }
         assert_eq!(results[0], results[4], "re-probed base identical");
 
-        let stats = exec.stats();
-        assert_eq!(stats.queries_executed, 5);
-        // Three distinct terms: Make, Model, Year.
-        assert_eq!(stats.terms_evaluated, 3);
-        // Intersections: base folds Make∩Model then ∩Year (2);
-        // relax(Year) = Make∩Model is a prefix hit; relax(Model) folds
-        // Make∩Year (1); relax(Make) folds Model∩Year (1); the re-probed
-        // base is a pure prefix hit. The base intersection was computed
-        // exactly once.
-        assert_eq!(stats.intersections_computed, 4);
-        let before = stats.prefix_memo_hits;
-        let again = exec.execute(&base);
-        assert_eq!(again, results[0]);
-        let after = exec.stats();
+        // Distinct ordered prefixes: [Model], [Model, Year],
+        // [Model, Year, Make] (base); [Model, Make] (relax Year);
+        // [Year], [Year, Make] (relax Model). Relax Make is
+        // [Model, Year], two hits; the re-probed base is three.
         assert_eq!(
-            after.intersections_computed, 4,
-            "re-probing Qpr computes nothing new"
+            exec.stats(),
+            ExecStats {
+                queries_executed: 5,
+                terms_evaluated: 3,
+                term_memo_hits: 9,
+                drivers_materialized: 2,
+                filters_applied: 4,
+                prefix_memo_hits: 6,
+            }
         );
-        assert!(after.prefix_memo_hits > before);
+
+        // One more re-probe of the base query moves the memo-hit
+        // counters alone.
+        let before = exec.stats();
+        assert_eq!(exec.execute(&base), results[0]);
+        assert_eq!(
+            exec.stats(),
+            ExecStats {
+                queries_executed: before.queries_executed + 1,
+                term_memo_hits: before.term_memo_hits + 3,
+                prefix_memo_hits: before.prefix_memo_hits + 3,
+                ..before
+            }
+        );
+    }
+
+    #[test]
+    fn numeric_driver_filters_categorical_terms() {
+        let r = relation();
+        // Price in [8000, 9500) matches 2 rows, fewer than Make=Toyota's
+        // 3, so the facet tree drives and Make filters.
+        let q = SelectionQuery::new(vec![
+            Predicate::eq(AttrId(0), Value::cat("Toyota")),
+            Predicate {
+                attr: AttrId(3),
+                op: PredicateOp::Ge,
+                value: Value::num(8000.0),
+            },
+            Predicate {
+                attr: AttrId(3),
+                op: PredicateOp::Lt,
+                value: Value::num(9500.0),
+            },
+        ]);
+        let mut exec = PlanExecutor::new(&r);
+        assert_eq!(exec.execute(&q), vec![3]);
+        assert_eq!(exec.execute(&q.relax(&[AttrId(0)])), vec![3, 4]);
+        let stats = exec.stats();
+        assert_eq!(stats.drivers_materialized, 1, "the range drove both");
+        assert_eq!(stats.filters_applied, 1);
+        assert_eq!(stats.prefix_memo_hits, 1);
     }
 
     #[test]
@@ -557,7 +609,8 @@ mod tests {
         assert_eq!(r1, scan(&r, &q1));
         let stats = exec.stats();
         assert_eq!(stats.terms_evaluated, 2, "permutation shares both terms");
-        assert_eq!(stats.intersections_computed, 1);
+        assert_eq!(stats.drivers_materialized, 1);
+        assert_eq!(stats.filters_applied, 1);
         assert_eq!(stats.prefix_memo_hits, 2, "q2 is a whole-prefix replay");
     }
 

@@ -494,7 +494,7 @@ impl WebDatabase for InMemoryWebDb {
 
     /// Shared-plan override: one [`crate::PlanExecutor`] evaluates the
     /// whole plan, so the queries' common subexpressions (above all the
-    /// base intersection every relaxed query contains) are computed once.
+    /// base conjunction every relaxed query contains) are computed once.
     /// Pages and per-query meter records are byte-identical to the
     /// default sequential loop; an in-memory source never fails, so the
     /// terminal-stop clause is vacuous here.

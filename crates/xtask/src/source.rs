@@ -1010,7 +1010,8 @@ mod tests {
 
     #[test]
     fn wire_optional_directive_parses_and_targets_the_key_line() {
-        let src = "// aimq-wire: optional -- only on relaxed answers\n(\"base_index\", Json::Num(i)),";
+        let src =
+            "// aimq-wire: optional -- only on relaxed answers\n(\"base_index\", Json::Num(i)),";
         let f = scan(src);
         assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
         assert_eq!(f.wire_directives.len(), 1);

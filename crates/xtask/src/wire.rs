@@ -38,8 +38,7 @@ use crate::structure::find_functions;
 /// `JsonError` is carried for completeness: it is a struct today, so
 /// no enum definition is found and it imposes no obligation — but the
 /// day it grows variants, the audit starts without a lint change.
-pub const WATCHED_FAULT_ENUMS: &[&str] =
-    &["ServeError", "QueryError", "ProbeError", "JsonError"];
+pub const WATCHED_FAULT_ENUMS: &[&str] = &["ServeError", "QueryError", "ProbeError", "JsonError"];
 
 /// The crate that maps fault enums onto wire responses.
 pub const BOUNDARY_CRATE: &str = "http";
@@ -561,11 +560,7 @@ fn classify_value(toks: &[Token], call: &ObjCall, key_end: usize) -> &'static st
         .iter()
         .skip_while(|t| t.offset < key_end || t.text == ",")
         .collect();
-    if value.len() >= 4
-        && value[0].text == "Json"
-        && value[1].text == ":"
-        && value[2].text == ":"
-    {
+    if value.len() >= 4 && value[0].text == "Json" && value[1].text == ":" && value[2].text == ":" {
         return match value[3].text.as_str() {
             "Num" => "num",
             "Str" => "str",
@@ -684,8 +679,9 @@ fn error_sites(files: &[WireFile], report: &mut WireReport) -> Vec<ErrorSite> {
             }
             let code = comma.and_then(|j| {
                 let from = toks[j].offset + 1;
-                let at = (from..toks[close].offset)
-                    .find(|&b| !bytes[b].is_ascii_whitespace() && classes[b] != ByteClass::Comment)?;
+                let at = (from..toks[close].offset).find(|&b| {
+                    !bytes[b].is_ascii_whitespace() && classes[b] != ByteClass::Comment
+                })?;
                 if classes[at] != ByteClass::Literal || bytes[at] != b'"' {
                     return None;
                 }
@@ -1091,10 +1087,17 @@ mod tests {
                     fn g() -> Response { Response::error(429, \"overloaded\", \"later\") }\n";
         let clean = run(&[("http", good)], Some(design));
         assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
-        assert!(clean.design_findings.is_empty(), "{:#?}", clean.design_findings);
+        assert!(
+            clean.design_findings.is_empty(),
+            "{:#?}",
+            clean.design_findings
+        );
 
         let unknown = run(
-            &[("http", "fn f() -> Response { Response::error(400, \"mystery\", \"m\") }\n")],
+            &[(
+                "http",
+                "fn f() -> Response { Response::error(400, \"mystery\", \"m\") }\n",
+            )],
             Some(design),
         );
         assert!(unknown
@@ -1115,7 +1118,8 @@ mod tests {
         assert!(mismatch
             .findings
             .iter()
-            .any(|(_, f)| f.message.contains("documented as status 400") && f.message.contains("sends 500")));
+            .any(|(_, f)| f.message.contains("documented as status 400")
+                && f.message.contains("sends 500")));
     }
 
     #[test]
@@ -1127,6 +1131,8 @@ mod tests {
             .iter()
             .any(|(_, f)| f.message.contains("not a string literal")));
         assert_eq!(report.design_findings.len(), 1);
-        assert!(report.design_findings[0].message.contains("no `| machine code | status |` table"));
+        assert!(report.design_findings[0]
+            .message
+            .contains("no `| machine code | status |` table"));
     }
 }

@@ -48,18 +48,17 @@ fn l11_duplicate_conditional_stale_and_missing_pin_are_detected() {
     assert!(errs
         .iter()
         .any(|(_, msg)| msg.contains("duplicate key `hits`") && msg.contains("`Snapshot`")));
-    assert!(errs.iter().any(
-        |(_, msg)| msg.contains("key `detail`") && msg.contains("under a conditional")
-    ));
+    assert!(errs
+        .iter()
+        .any(|(_, msg)| msg.contains("key `detail`") && msg.contains("under a conditional")));
     assert!(errs
         .iter()
         .any(|(_, msg)| msg.contains("stale `aimq-wire: optional` annotation")));
     // The pin diagnostic lands on the artifact path itself.
-    assert!(report
-        .diagnostics
-        .iter()
-        .any(|d| d.message.contains("results/WIRE_SCHEMA.json is missing")
-            && d.path.to_string_lossy().contains("WIRE_SCHEMA")));
+    assert!(report.diagnostics.iter().any(|d| d
+        .message
+        .contains("results/WIRE_SCHEMA.json is missing")
+        && d.path.to_string_lossy().contains("WIRE_SCHEMA")));
 }
 
 #[test]

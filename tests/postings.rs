@@ -2,11 +2,14 @@
 //! evaluation:
 //!
 //! 1. **executor identity** — over generated relations (categorical +
-//!    numeric columns, nulls, NaN and `±∞` rows) and generated selection
+//!    numeric columns, nulls, NaN, `±0.0` and `±∞` rows, mirrored
+//!    columns that tie term cardinalities) and generated selection
 //!    queries (duplicate predicates on one attribute included), the
 //!    posting-list executor and a naive full scan return byte-identical
 //!    row sets, and a shared [`PlanExecutor`] answers every plan member
-//!    exactly like the one-shot path;
+//!    like the scan while its meters match a reference model of the
+//!    smallest-term-first fold exactly; a replay of both generators
+//!    proves they reach every fold shape the executor distinguishes;
 //! 2. **decorator transparency** — `try_query_plan` through the
 //!    `Cached(Resilient(FaultInjecting(InMemory)))` stack returns
 //!    exactly what the sequential `try_query` loop returns (pages,
@@ -23,6 +26,7 @@
 //!    byte-identical to query-at-a-time issuance through the full
 //!    decorator stack under every fault profile.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use aimq_suite::catalog::{
@@ -31,11 +35,12 @@ use aimq_suite::catalog::{
 use aimq_suite::data::CarDb;
 use aimq_suite::engine::{AimqSystem, AnswerSet, EngineConfig, TrainConfig};
 use aimq_suite::storage::{
-    execute_rows, CachedWebDb, FaultInjectingWebDb, FaultProfile, FederatedWebDb, FederationPolicy,
-    InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation, ResilientWebDb, RetryPolicy,
-    RowId, SourceSpec, WebDatabase, DEFAULT_CACHE_CAPACITY,
+    execute_rows, CachedWebDb, ExecStats, FaultInjectingWebDb, FaultProfile, FederatedWebDb,
+    FederationPolicy, InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation, ResilientWebDb,
+    RetryPolicy, RowId, SourceSpec, WebDatabase, DEFAULT_CACHE_CAPACITY,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 // ---------------------------------------------------------------------
 // Guarantee 1: executor identity on generated relations and queries.
@@ -114,9 +119,16 @@ fn op_of(code: u8) -> PredicateOp {
 /// A predicate from three bytes: attribute, operator, value code. The
 /// value pool deliberately ignores the attribute's domain sometimes
 /// (categorical constant on a numeric column and vice versa), which
-/// every executor must resolve to the empty set identically.
+/// every executor must resolve to the empty set identically. Categorical
+/// attributes mostly get `Eq`, the one operator that can match them, so
+/// their terms are non-empty often enough to drive, filter and tie.
 fn gen_predicate(attr: u8, op: u8, value: u8) -> Predicate {
     let attr = AttrId(attr as usize % 4);
+    let op = if attr.index() < 2 && !op.is_multiple_of(4) {
+        PredicateOp::Eq
+    } else {
+        op_of(op)
+    };
     let value = if value % 11 == 10 {
         // occasional cross-domain constant
         if attr.index() < 2 {
@@ -132,18 +144,43 @@ fn gen_predicate(attr: u8, op: u8, value: u8) -> Predicate {
     } else {
         num_query_value(value)
     };
-    Predicate {
-        attr,
-        op: op_of(op),
-        value,
-    }
+    Predicate { attr, op, value }
 }
 
-fn gen_relation(row_codes: &[(u8, u8, u8, u8)]) -> Relation {
+/// One generated row: a value code per column.
+type RowCodes = (u8, u8, u8, u8);
+/// One generated predicate: attribute, operator and value codes.
+type PredCodes = (u8, u8, u8);
+/// Generated rows plus the mirror flag (see [`gen_relation`]).
+type RelationCodes = (Vec<RowCodes>, u8);
+/// Generated predicates plus the twin flag (see [`gen_query`]).
+type QueryCodes = (Vec<PredCodes>, u8);
+
+/// Up to 160 rows, so a numeric driver spans several 64-position facet
+/// tree buckets, and a coin for mirrored columns.
+fn relation_codes() -> impl Strategy<Value = RelationCodes> {
+    (
+        proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255), 0..160),
+        0u8..2,
+    )
+}
+
+fn query_codes(len: std::ops::Range<usize>) -> impl Strategy<Value = QueryCodes> {
+    (
+        proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), len),
+        0u8..2,
+    )
+}
+
+/// With `mirror` set, `color` copies `make` and `miles` copies `price`
+/// row by row, so equal constants on the twin columns tie in
+/// cardinality and the fold order falls to the attribute tie-break.
+fn gen_relation((row_codes, mirror): &RelationCodes) -> Relation {
     let schema = gen_schema();
     let tuples: Vec<Tuple> = row_codes
         .iter()
         .map(|&(a, b, c, d)| {
+            let (b, d) = if *mirror == 1 { (a, c) } else { (b, d) };
             Tuple::new(
                 schema,
                 vec![
@@ -159,6 +196,27 @@ fn gen_relation(row_codes: &[(u8, u8, u8, u8)]) -> Relation {
     Relation::from_tuples(schema.clone(), &tuples).expect("generated tuples fit the schema")
 }
 
+/// With `twin` set, every predicate is repeated on its twin column
+/// (`make`/`color`, `price`/`miles`): over a mirrored relation each
+/// term then ties in cardinality with its twin.
+fn gen_query((codes, twin): &QueryCodes) -> SelectionQuery {
+    let mut predicates: Vec<Predicate> = codes
+        .iter()
+        .map(|&(a, o, v)| gen_predicate(a, o, v))
+        .collect();
+    if *twin == 1 {
+        let twins: Vec<Predicate> = predicates
+            .iter()
+            .map(|p| Predicate {
+                attr: AttrId(p.attr.index() ^ 1),
+                ..p.clone()
+            })
+            .collect();
+        predicates.extend(twins);
+    }
+    SelectionQuery::new(predicates)
+}
+
 /// The naive reference: decode every row and apply the query AST.
 fn scan(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
     relation
@@ -167,24 +225,166 @@ fn scan(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
         .collect()
 }
 
+/// The reference fold order: a query's canonical per-attribute groups
+/// with their full-scan cardinalities, ascending by `(cardinality,
+/// AttrId)`.
+fn fold_order(relation: &Relation, query: &SelectionQuery) -> Vec<(Vec<Predicate>, usize)> {
+    let mut groups: BTreeMap<AttrId, Vec<Predicate>> = BTreeMap::new();
+    for p in query.canonicalize().predicates() {
+        groups.entry(p.attr).or_default().push(p.clone());
+    }
+    let mut order: Vec<(Vec<Predicate>, usize)> = groups
+        .into_values()
+        .map(|group| {
+            let n = scan(relation, &SelectionQuery::new(group.clone())).len();
+            (group, n)
+        })
+        .collect();
+    order.sort_by_key(|(group, n)| (*n, group.first().map(|p| p.attr)));
+    order
+}
+
+/// The meters a shared executor must report for `plan`: every term and
+/// every ordered fold prefix is evaluated the first time it occurs and
+/// a memo hit afterwards; a length-1 prefix is a driver, a longer one a
+/// filter.
+fn expected_stats(relation: &Relation, plan: &[SelectionQuery]) -> ExecStats {
+    let mut terms = BTreeSet::new();
+    let mut prefixes = BTreeSet::new();
+    let mut stats = ExecStats::default();
+    for query in plan {
+        stats.queries_executed += 1;
+        let order: Vec<Vec<Predicate>> = fold_order(relation, query)
+            .into_iter()
+            .map(|(group, _)| group)
+            .collect();
+        for group in &order {
+            if terms.insert(group.clone()) {
+                stats.terms_evaluated += 1;
+            } else {
+                stats.term_memo_hits += 1;
+            }
+        }
+        for len in 1..=order.len() {
+            if !prefixes.insert(order[..len].to_vec()) {
+                stats.prefix_memo_hits += 1;
+            } else if len == 1 {
+                stats.drivers_materialized += 1;
+            } else {
+                stats.filters_applied += 1;
+            }
+        }
+    }
+    stats
+}
+
+/// Which fold shapes one query exercises, read off the reference order.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct FoldShapes {
+    /// A non-empty numeric range drives a fold of two or more terms
+    /// (the facet-tree driver).
+    numeric_driver: bool,
+    /// Two terms match the same non-zero number of rows.
+    cardinality_tie: bool,
+    /// A filtered (non-driver) term meets a running row whose value in
+    /// its column is `Null`/NaN, `±0.0` or `±∞`.
+    special_value_filtered: bool,
+    /// A contradictory group — each predicate matches some row, the
+    /// group none — is a filter, not the driver.
+    contradiction_filtered: bool,
+}
+
+impl FoldShapes {
+    const ALL: FoldShapes = FoldShapes {
+        numeric_driver: true,
+        cardinality_tie: true,
+        special_value_filtered: true,
+        contradiction_filtered: true,
+    };
+
+    fn of(relation: &Relation, query: &SelectionQuery) -> FoldShapes {
+        let order = fold_order(relation, query);
+        let matches = |predicates: &[Predicate], row: RowId| {
+            let tuple = relation.tuple(row);
+            predicates.iter().all(|p| p.matches(&tuple))
+        };
+        let mut shapes = FoldShapes {
+            cardinality_tie: order.windows(2).any(|w| w[0].1 > 0 && w[0].1 == w[1].1),
+            ..FoldShapes::default()
+        };
+        let Some(((driver, driver_rows), filters)) = order.split_first() else {
+            return shapes;
+        };
+        shapes.numeric_driver =
+            !filters.is_empty() && *driver_rows > 0 && driver[0].attr.index() >= 2;
+        let mut running = scan(relation, &SelectionQuery::new(driver.clone()));
+        for (group, rows) in filters {
+            let attr = group[0].attr;
+            shapes.special_value_filtered |=
+                running.iter().any(|&row| match relation.value(row, attr) {
+                    Value::Null => true,
+                    Value::Num(x) => x == 0.0 || x.is_infinite(),
+                    Value::Cat(_) => false,
+                });
+            shapes.contradiction_filtered |= *rows == 0
+                && group.len() >= 2
+                && group.iter().all(|p| {
+                    relation
+                        .rows()
+                        .any(|row| matches(std::slice::from_ref(p), row))
+                });
+            running.retain(|&row| matches(group, row));
+        }
+        shapes
+    }
+
+    fn or(self, other: FoldShapes) -> FoldShapes {
+        FoldShapes {
+            numeric_driver: self.numeric_driver || other.numeric_driver,
+            cardinality_tie: self.cardinality_tie || other.cardinality_tie,
+            special_value_filtered: self.special_value_filtered || other.special_value_filtered,
+            contradiction_filtered: self.contradiction_filtered || other.contradiction_filtered,
+        }
+    }
+}
+
+const IDENTITY_CASES: u32 = 96;
+const SHARED_PLAN_CASES: u32 = 64;
+
+fn identity_case() -> impl Strategy<Value = (RelationCodes, QueryCodes)> {
+    (relation_codes(), query_codes(0..7))
+}
+
+/// A base query, each of its single-attribute relaxations, the base
+/// again (Algorithm 1's plan shape), then a few unrelated queries.
+fn shared_plan_case() -> impl Strategy<Value = (RelationCodes, QueryCodes, Vec<QueryCodes>)> {
+    (
+        relation_codes(),
+        query_codes(0..7),
+        proptest::collection::vec(query_codes(0..4), 0..4),
+    )
+}
+
+fn relaxation_plan(base: &QueryCodes, extra: &[QueryCodes]) -> Vec<SelectionQuery> {
+    let base = gen_query(base);
+    let attrs: BTreeSet<AttrId> = base.predicates().iter().map(|p| p.attr).collect();
+    let mut plan = vec![base.clone()];
+    plan.extend(attrs.iter().map(|&attr| base.relax(&[attr])));
+    plan.push(base);
+    plan.extend(extra.iter().map(gen_query));
+    plan
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(IDENTITY_CASES))]
 
     /// Posting-list executor == naive scan, and the answer is invariant
     /// under predicate duplication and permutation.
     #[test]
-    fn three_way_executor_identity(
-        rows in proptest::collection::vec(
-            (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255), 0..40),
-        preds in proptest::collection::vec(
-            (0u8..=255, 0u8..=255, 0u8..=255), 0..6),
-    ) {
-        let relation = gen_relation(&rows);
-        let predicates: Vec<Predicate> = preds
-            .iter()
-            .map(|&(a, o, v)| gen_predicate(a, o, v))
-            .collect();
-        let query = SelectionQuery::new(predicates.clone());
+    fn three_way_executor_identity(case in identity_case()) {
+        let (relation_codes, preds) = case;
+        let relation = gen_relation(&relation_codes);
+        let query = gen_query(&preds);
 
         let expected = scan(&relation, &query);
         prop_assert_eq!(&execute_rows(&relation, &query), &expected);
@@ -192,47 +392,74 @@ proptest! {
         // Duplicating the whole predicate list (duplicate predicates on
         // one attribute, by construction) must change nothing.
         let doubled = SelectionQuery::new(
-            predicates.iter().chain(predicates.iter()).cloned().collect(),
+            query.predicates().iter().chain(query.predicates()).cloned().collect(),
         );
         prop_assert_eq!(&execute_rows(&relation, &doubled), &expected);
 
         // Reversing predicate order must change nothing either.
         let reversed =
-            SelectionQuery::new(predicates.iter().rev().cloned().collect());
+            SelectionQuery::new(query.predicates().iter().rev().cloned().collect());
         prop_assert_eq!(&execute_rows(&relation, &reversed), &expected);
     }
+}
 
-    /// A shared `PlanExecutor` answers every member of a plan exactly
-    /// like the one-shot executor, while sharing work: terms are never
-    /// evaluated more often than there are distinct (attr-group, plan)
-    /// pairs.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SHARED_PLAN_CASES))]
+
+    /// A shared `PlanExecutor` answers every member of a relaxation plan
+    /// like the naive scan and the one-shot executor, and its meters
+    /// equal the reference model's: each distinct term resolved once,
+    /// each distinct ordered prefix materialized or filtered once, and
+    /// everything else — the repeated base query above all — answered
+    /// by memo hits.
     #[test]
-    fn shared_plan_matches_one_shot_execution(
-        rows in proptest::collection::vec(
-            (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255), 0..30),
-        plan in proptest::collection::vec(
-            proptest::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 0..4),
-            1..6),
-    ) {
-        let relation = gen_relation(&rows);
-        let queries: Vec<SelectionQuery> = plan
-            .iter()
-            .map(|preds| {
-                SelectionQuery::new(
-                    preds.iter().map(|&(a, o, v)| gen_predicate(a, o, v)).collect(),
-                )
-            })
-            .collect();
+    fn shared_plan_matches_one_shot_execution(case in shared_plan_case()) {
+        let (relation_codes, base, extra) = case;
+        let relation = gen_relation(&relation_codes);
+        let plan = relaxation_plan(&base, &extra);
 
         let mut exec = PlanExecutor::new(&relation);
-        for query in &queries {
-            prop_assert_eq!(&exec.execute(query), &execute_rows(&relation, query));
+        for query in &plan {
+            let rows = exec.execute(query);
+            prop_assert_eq!(&rows, &scan(&relation, query));
+            prop_assert_eq!(&rows, &execute_rows(&relation, query));
         }
-        let stats = exec.stats();
-        prop_assert_eq!(stats.queries_executed, queries.len() as u64);
-        // Memoization can only save work, never add it.
-        prop_assert!(stats.intersections_computed <= stats.terms_evaluated);
+        prop_assert_eq!(exec.stats(), expected_stats(&relation, &plan));
     }
+}
+
+/// Both differential proptests reach every fold shape. The vendored
+/// runner draws each test's cases from an RNG seeded by the test's
+/// path, so replaying the same strategies under the same names
+/// regenerates exactly the cases the proptests ran.
+#[test]
+fn differential_generators_reach_every_fold_shape() {
+    let mut rng = TestRng::for_test(concat!(module_path!(), "::three_way_executor_identity"));
+    let mut reached = FoldShapes::default();
+    for _ in 0..IDENTITY_CASES {
+        let (relation_codes, preds) = identity_case().generate(&mut rng);
+        let relation = gen_relation(&relation_codes);
+        reached = reached.or(FoldShapes::of(&relation, &gen_query(&preds)));
+    }
+    assert_eq!(reached, FoldShapes::ALL, "three_way_executor_identity");
+
+    let mut rng = TestRng::for_test(concat!(
+        module_path!(),
+        "::shared_plan_matches_one_shot_execution"
+    ));
+    let mut reached = FoldShapes::default();
+    for _ in 0..SHARED_PLAN_CASES {
+        let (relation_codes, base, extra) = shared_plan_case().generate(&mut rng);
+        let relation = gen_relation(&relation_codes);
+        for query in relaxation_plan(&base, &extra) {
+            reached = reached.or(FoldShapes::of(&relation, &query));
+        }
+    }
+    assert_eq!(
+        reached,
+        FoldShapes::ALL,
+        "shared_plan_matches_one_shot_execution"
+    );
 }
 
 // ---------------------------------------------------------------------
