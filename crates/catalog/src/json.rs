@@ -55,7 +55,7 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) | Json::Arr(_) => None,
         }
     }
 
@@ -63,7 +63,7 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
@@ -71,7 +71,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
@@ -81,7 +81,12 @@ impl Json {
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= 9_007_199_254_740_992.0 => {
                 Some(*n as u64)
             }
-            _ => None,
+            Json::Null
+            | Json::Bool(_)
+            | Json::Num(_)
+            | Json::Str(_)
+            | Json::Arr(_)
+            | Json::Obj(_) => None,
         }
     }
 
@@ -89,7 +94,7 @@ impl Json {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
-            _ => None,
+            Json::Null | Json::Num(_) | Json::Str(_) | Json::Arr(_) | Json::Obj(_) => None,
         }
     }
 
@@ -97,7 +102,7 @@ impl Json {
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) | Json::Obj(_) => None,
         }
     }
 
@@ -105,7 +110,7 @@ impl Json {
     pub fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(pairs) => Some(pairs),
-            _ => None,
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(_) | Json::Arr(_) => None,
         }
     }
 
@@ -144,14 +149,18 @@ impl fmt::Display for Json {
 /// non-finite, an integer literal when exactly representable as one
 /// (|n| < 2^53 and no fractional part), otherwise Rust's
 /// shortest-roundtrip `Display` for `f64`.
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write to a String is infallible"
+)]
 fn write_num(n: f64, out: &mut String) {
     use fmt::Write;
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        let _ = write!(out, "{}", n as i64); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+        let _ = write!(out, "{}", n as i64);
     } else {
-        let _ = write!(out, "{n}"); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -166,7 +175,11 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write to a String is infallible"
+                )]
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

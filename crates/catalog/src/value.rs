@@ -49,7 +49,7 @@ impl Value {
     pub fn as_cat(&self) -> Option<&str> {
         match self {
             Value::Cat(s) => Some(s),
-            _ => None,
+            Value::Null | Value::Num(_) => None,
         }
     }
 
@@ -67,7 +67,7 @@ impl Value {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
-            _ => None,
+            Value::Null | Value::Cat(_) => None,
         }
     }
 }

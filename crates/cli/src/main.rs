@@ -210,7 +210,10 @@ fn serve_http(args: &Args) -> Result<(), String> {
         println!("serving until stdin closes (ctrl-D to drain and exit)");
         let mut sink = Vec::new();
         use std::io::Read;
-        // aimq-lint: allow(result-discipline) -- a stdin read error means the terminal is gone; either way the answer is "drain and exit"
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a stdin read error means the terminal is gone; either way the answer is \"drain and exit\""
+        )]
         let _ = std::io::stdin().lock().read_to_end(&mut sink);
     }
 
@@ -491,7 +494,9 @@ fn query(args: &Args) -> Result<(), String> {
                 "no answers — but the source faulted; re-run or relax --tsim \
                  before concluding nothing matches"
             ),
-            _ => println!("no answers above Tsim {}", config.t_sim),
+            aimq::Completeness::Full | aimq::Completeness::Partial => {
+                println!("no answers above Tsim {}", config.t_sim)
+            }
         }
     }
     for (i, answer) in result.answers.iter().enumerate() {

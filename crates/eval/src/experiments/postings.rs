@@ -189,18 +189,18 @@ fn outcome_for(relation: &Relation, n_plans: usize, seed: u64) -> PostingsOutcom
         shared.prefix_memo_hits += s.prefix_memo_hits;
     }
 
-    let one_shot_work = one_shot.drivers_materialized + one_shot.filters_applied;
-    let shared_work = shared.drivers_materialized + shared.filters_applied;
+    let one_shot_work = (one_shot.drivers_materialized + one_shot.filters_applied).0;
+    let shared_work = (shared.drivers_materialized + shared.filters_applied).0;
     PostingsOutcome {
         rows: relation.len(),
         n_plans: plans.len(),
         plan_queries,
-        terms_evaluated: shared.terms_evaluated,
-        term_memo_hits: shared.term_memo_hits,
-        drivers_materialized: shared.drivers_materialized,
-        filters_applied: shared.filters_applied,
-        prefix_memo_hits: shared.prefix_memo_hits,
-        one_shot_terms: one_shot.terms_evaluated,
+        terms_evaluated: shared.terms_evaluated.0,
+        term_memo_hits: shared.term_memo_hits.0,
+        drivers_materialized: shared.drivers_materialized.0,
+        filters_applied: shared.filters_applied.0,
+        prefix_memo_hits: shared.prefix_memo_hits.0,
+        one_shot_terms: one_shot.terms_evaluated.0,
         one_shot_folds: one_shot_work,
         work_shared: if one_shot_work == 0 {
             0.0

@@ -234,7 +234,10 @@ fn fingerprint(result: &AnswerSet) -> String {
         result.base_query, result.base_set_size
     );
     for a in &result.answers {
-        // aimq-lint: allow(result-discipline) -- fmt::Write to a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write to a String is infallible"
+        )]
         let _ = write!(
             out,
             " | {:?}@{:016x}:{:?}",

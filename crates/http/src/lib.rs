@@ -24,10 +24,11 @@
 //! - [`load`]: the open-loop load generator that drives the saturation
 //!   benchmark (`aimq-bench`'s `http_load`).
 //!
-//! This crate deliberately sits *outside* the workspace's determinism
-//! lint scope (L3/L4): sockets, wall clocks, and sleeps are its whole
-//! job. The panic-freedom and effect-discipline lints (L1, L5, L6,
-//! L8-L10) apply in full.
+//! This crate deliberately sits *outside* the workspace's wall-clock
+//! ban: sockets, wall clocks, and sleeps are its whole job. The
+//! panic-freedom lints, the `clippy.toml` type bans (hash containers
+//! and raw atomics) and the lock and probe-effect rules (L5, L8) apply
+//! in full.
 
 #![warn(missing_docs)]
 // Panic-freedom: faults become typed errors, never panics (DESIGN.md
@@ -40,6 +41,11 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// The `clippy.toml` type bans: shared counters and flags go through
+// `aimq_storage::{Counter, Flag}`, and no hash container reaches a
+// response. The wall-clock ban stays off: timing sockets is this
+// crate's job.
+#![deny(clippy::disallowed_types)]
 
 mod routes;
 mod server;

@@ -25,12 +25,11 @@
 //! function of the engine's result — the end-to-end tests compare them
 //! byte-for-byte against in-process serialization.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use aimq_catalog::{ImpreciseQuery, Json, Value};
 use aimq_serve::{QueryServer, ServeError};
-use aimq_storage::WebDatabase;
+use aimq_storage::{Counter, WebDatabase};
 
 use crate::wire::{Request, Response};
 
@@ -38,34 +37,29 @@ use crate::wire::{Request, Response};
 /// runtime's counters live in [`aimq_serve::ServeStats`]).
 #[derive(Debug, Default)]
 pub struct HttpStats {
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    connections_accepted: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    requests_served: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    responses_4xx: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    responses_5xx: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    connection_errors: AtomicU64,
+    connections_accepted: Counter,
+    requests_served: Counter,
+    responses_4xx: Counter,
+    responses_5xx: Counter,
+    connection_errors: Counter,
 }
 
 impl HttpStats {
     pub(crate) fn note_connection(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        self.connections_accepted.add(1);
     }
 
     pub(crate) fn note_response(&self, status: u16) {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
+        self.requests_served.add(1);
         if (400..500).contains(&status) {
-            self.responses_4xx.fetch_add(1, Ordering::Relaxed);
+            self.responses_4xx.add(1);
         } else if status >= 500 {
-            self.responses_5xx.fetch_add(1, Ordering::Relaxed);
+            self.responses_5xx.add(1);
         }
     }
 
     pub(crate) fn note_connection_error(&self) {
-        self.connection_errors.fetch_add(1, Ordering::Relaxed);
+        self.connection_errors.add(1);
     }
 
     /// The counters as a deterministic [`Json`] object, embedded in the
@@ -75,23 +69,17 @@ impl HttpStats {
         Json::obj(vec![
             (
                 "connections_accepted",
-                Json::Num(self.connections_accepted.load(Ordering::Relaxed) as f64),
+                Json::Num(self.connections_accepted.get() as f64),
             ),
             (
                 "requests_served",
-                Json::Num(self.requests_served.load(Ordering::Relaxed) as f64),
+                Json::Num(self.requests_served.get() as f64),
             ),
-            (
-                "responses_4xx",
-                Json::Num(self.responses_4xx.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "responses_5xx",
-                Json::Num(self.responses_5xx.load(Ordering::Relaxed) as f64),
-            ),
+            ("responses_4xx", Json::Num(self.responses_4xx.get() as f64)),
+            ("responses_5xx", Json::Num(self.responses_5xx.get() as f64)),
             (
                 "connection_errors",
-                Json::Num(self.connection_errors.load(Ordering::Relaxed) as f64),
+                Json::Num(self.connection_errors.get() as f64),
             ),
         ])
     }
@@ -285,7 +273,7 @@ fn build_query(state: &AppState, body: &Json) -> Result<ImpreciseQuery, Box<Resp
         let value = match value {
             Json::Str(s) => Value::cat(s.clone()),
             Json::Num(n) => Value::num(*n),
-            other => {
+            other @ (Json::Null | Json::Bool(_) | Json::Arr(_) | Json::Obj(_)) => {
                 return Err(bad(format!(
                     "attribute `{attr}` must bind a string or a number, got {other}"
                 )))

@@ -28,14 +28,13 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use aimq::AimqSystem;
 use aimq_serve::{ServeConfig, ServeStatsSnapshot};
-use aimq_storage::WebDatabase;
+use aimq_storage::{Flag, WebDatabase};
 
 use crate::routes::{dispatch, AppState};
 use crate::wire::{Decoder, FrameError, Response};
@@ -79,9 +78,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct AimqHttpServer {
     addr: SocketAddr,
     state: Arc<AppState>,
-    // aimq-atomic: flag -- Release store in shutdown() pairs with the
-    // Acquire loads in the acceptor and every connection loop
-    shutting_down: Arc<AtomicBool>,
+    /// Raised by `shutdown()`; the acceptor and every connection loop
+    /// read it.
+    shutting_down: Arc<Flag>,
     acceptor: Option<JoinHandle<()>>,
     // aimq-lock: family(http-conns) -- leaf lock: push/drain the handle
     // list only; joins happen after the guard is dropped
@@ -107,9 +106,7 @@ impl AimqHttpServer {
             index: config.index,
             http_stats: crate::routes::HttpStats::default(),
         });
-        // aimq-atomic: flag -- Release store in shutdown() pairs with the
-        // Acquire loads in the acceptor and every connection loop
-        let shutting_down = Arc::new(AtomicBool::new(false));
+        let shutting_down = Arc::new(Flag::new());
         // aimq-lock: family(http-conns) -- leaf lock: push/drain the handle
         // list only; joins happen after the guard is dropped
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -120,7 +117,7 @@ impl AimqHttpServer {
             let conns = Arc::clone(&conns);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if shutting_down.load(Ordering::Acquire) {
+                    if shutting_down.get() {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
@@ -168,7 +165,7 @@ impl AimqHttpServer {
     /// keep-alive connections, then shut the worker pool. Returns the
     /// pool's final, fully drained stats snapshot.
     pub fn shutdown(mut self) -> ServeStatsSnapshot {
-        self.shutting_down.store(true, Ordering::Release);
+        self.shutting_down.set();
         // The acceptor blocks in accept(); a loopback connection wakes
         // it so it can observe the flag. If the connect fails the
         // acceptor still exits at the next real connection.
@@ -176,14 +173,22 @@ impl AimqHttpServer {
             self.state.http_stats.note_connection_error();
         }
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join(); // aimq-lint: allow(result-discipline) -- an acceptor panic has no recovery; draining continues regardless
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "an acceptor panic has no recovery; draining continues regardless"
+            )]
+            let _ = acceptor.join();
         }
         // Drain: join every connection thread. Handles are moved out
         // under the lock (the inner block drops the guard), joined
         // after it is released.
         let handles = { std::mem::take(&mut *lock(&self.conns)) };
         for handle in handles {
-            let _ = handle.join(); // aimq-lint: allow(result-discipline) -- a connection panic already closed its socket; the drain must continue
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a connection panic already closed its socket; the drain must continue"
+            )]
+            let _ = handle.join();
         }
         // Only now — with every ticket redeemed — shut the pool.
         match Arc::try_unwrap(self.state) {
@@ -204,7 +209,7 @@ impl AimqHttpServer {
 /// `Ok`.
 fn handle_connection(
     state: &AppState,
-    shutting_down: &AtomicBool,
+    shutting_down: &Flag,
     mut stream: TcpStream,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TICK))?;
@@ -220,7 +225,7 @@ fn handle_connection(
                     // During drain the response still goes out, but the
                     // connection announces the close instead of
                     // pretending another request would be served.
-                    let close = request.wants_close() || shutting_down.load(Ordering::Acquire);
+                    let close = request.wants_close() || shutting_down.get();
                     response.write_to(&mut stream, close)?;
                     if close {
                         return Ok(());
@@ -238,7 +243,7 @@ fn handle_connection(
                 }
             }
         }
-        if shutting_down.load(Ordering::Acquire) {
+        if shutting_down.get() {
             // Drain point: nothing buffered forms a complete request,
             // so the keep-alive connection closes here.
             return Ok(());

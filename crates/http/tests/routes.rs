@@ -219,6 +219,10 @@ impl<D: WebDatabase> WebDatabase for GatedDb<D> {
     }
 
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "a recv error is the opened gate itself"
+        )]
         let _ = self.gate.lock().expect("gate lock").recv();
         self.inner.try_query(query)
     }

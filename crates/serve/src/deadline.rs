@@ -25,8 +25,7 @@
 //! and at 64.
 
 use aimq_catalog::{Schema, SelectionQuery};
-use aimq_storage::{AccessStats, QueryError, QueryPage, VirtualClock, WebDatabase};
-use std::sync::atomic::{AtomicBool, Ordering};
+use aimq_storage::{AccessStats, Flag, QueryError, QueryPage, VirtualClock, WebDatabase};
 
 /// Decorator enforcing a probe-tick budget on one query's probes.
 pub struct DeadlineWebDb<'a> {
@@ -36,9 +35,8 @@ pub struct DeadlineWebDb<'a> {
     deadline_ticks: u64,
     /// Cost charged per probe, cache hit or not.
     ticks_per_probe: u64,
-    // aimq-atomic: flag -- set once on first refusal; Release store pairs
-    // with the Acquire load in `deadline_missed`
-    missed: AtomicBool,
+    /// Raised on the first refusal.
+    missed: Flag,
 }
 
 impl<'a> DeadlineWebDb<'a> {
@@ -51,7 +49,7 @@ impl<'a> DeadlineWebDb<'a> {
             clock: VirtualClock::new(),
             deadline_ticks,
             ticks_per_probe: ticks_per_probe.max(1),
-            missed: AtomicBool::new(false),
+            missed: Flag::new(),
         }
     }
 
@@ -62,7 +60,7 @@ impl<'a> DeadlineWebDb<'a> {
 
     /// `true` once any probe was refused for exceeding the deadline.
     pub fn deadline_missed(&self) -> bool {
-        self.missed.load(Ordering::Acquire)
+        self.missed.get()
     }
 }
 
@@ -77,7 +75,7 @@ impl WebDatabase for DeadlineWebDb<'_> {
             // Terminal by design: the engine treats `Unavailable` as
             // "stop probing, degrade gracefully", which is exactly the
             // deadline semantics — salvage what is already ranked.
-            self.missed.store(true, Ordering::Release);
+            self.missed.set();
             return Err(QueryError::Unavailable);
         }
         self.clock.advance(self.ticks_per_probe);
@@ -110,7 +108,7 @@ impl WebDatabase for DeadlineWebDb<'_> {
         let inner_ended =
             out.len() < prefix.len() || matches!(out.last(), Some(Err(e)) if !e.is_retryable());
         if admitted < plan.len() && !inner_ended {
-            self.missed.store(true, Ordering::Release);
+            self.missed.set();
             out.push(Err(QueryError::Unavailable));
         }
         out

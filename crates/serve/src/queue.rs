@@ -120,7 +120,7 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use aimq_storage::Counter;
     use std::sync::Arc;
     use std::thread;
 
@@ -189,8 +189,8 @@ mod tests {
     fn dual_order_smoke_every_item_consumed_exactly_once() {
         for consumers_first in [false, true] {
             let q = Arc::new(AdmissionQueue::<u64>::new(8));
-            let consumed = Arc::new(AtomicU64::new(0));
-            let count = Arc::new(AtomicU64::new(0));
+            let consumed = Arc::new(Counter::new());
+            let count = Arc::new(Counter::new());
 
             let spawn_consumers = |q: &Arc<AdmissionQueue<u64>>| {
                 (0..4)
@@ -200,8 +200,8 @@ mod tests {
                         let count = Arc::clone(&count);
                         thread::spawn(move || {
                             while let Some(v) = q.pop() {
-                                consumed.fetch_add(v, Ordering::Relaxed);
-                                count.fetch_add(1, Ordering::Relaxed);
+                                consumed.add(v);
+                                count.add(1);
                             }
                         })
                     })
@@ -249,8 +249,8 @@ mod tests {
             for w in workers {
                 w.join().unwrap();
             }
-            assert_eq!(count.load(Ordering::Relaxed), 4 * 64);
-            assert_eq!(consumed.load(Ordering::Relaxed), produced);
+            assert_eq!(count.get(), 4 * 64);
+            assert_eq!(consumed.get(), produced);
         }
     }
 }

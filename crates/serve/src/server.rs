@@ -16,13 +16,12 @@
 //! concurrency levels — byte-identity checks must compare ranked
 //! answers, base query, and degradation probe counts, not meter deltas.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
 use aimq::{AimqSystem, AnswerSet, EngineConfig};
 use aimq_catalog::ImpreciseQuery;
-use aimq_storage::WebDatabase;
+use aimq_storage::{Counter, WebDatabase};
 
 use crate::queue::{AdmissionQueue, PushError};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
@@ -95,9 +94,9 @@ pub struct QueryServer {
     queue: Arc<AdmissionQueue<Request>>,
     stats: Arc<ServeStats>,
     in_flight_limit: usize,
-    // aimq-atomic: counter -- backlog occupancy; over-admission is corrected
-    // by the fetch_add/fetch_sub pairing, so no ordering is needed
-    in_queue_or_flight: Arc<AtomicU64>,
+    /// Backlog occupancy: queued plus in service. An over-admission is
+    /// undone by the paired `sub`, so no ordering is needed.
+    in_queue_or_flight: Arc<Counter>,
     // aimq-lock: family(engine-config) -- leaf lock; holders copy the
     // Copy config in or out and never block while holding the guard
     engine_config: Arc<Mutex<EngineConfig>>,
@@ -117,7 +116,7 @@ impl QueryServer {
         let workers = config.workers.max(1);
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity.max(1)));
         let stats = Arc::new(ServeStats::new(workers));
-        let in_queue_or_flight = Arc::new(AtomicU64::new(0));
+        let in_queue_or_flight = Arc::new(Counter::new());
         let engine_config = Arc::new(Mutex::new(config.engine));
         let handles = (0..workers)
             .map(|worker_id| {
@@ -136,8 +135,7 @@ impl QueryServer {
                         // guard before the (blocking) engine call.
                         let engine = { *lock(&engine_config) };
                         serve_one(&system, &*db, &config, &engine, &stats, worker_id, request);
-                        // aimq-atomic: counter -- releases this request's backlog slot
-                        in_flight.fetch_sub(1, Ordering::Relaxed);
+                        in_flight.sub(1);
                     }
                 })
             })
@@ -164,9 +162,9 @@ impl QueryServer {
         // Reserve a backlog slot first; the queue's own capacity check
         // alone would let `workers` extra requests slip in while their
         // predecessors occupy the workers.
-        let occupied = self.in_queue_or_flight.fetch_add(1, Ordering::Relaxed);
+        let occupied = self.in_queue_or_flight.add(1);
         if occupied >= self.in_flight_limit as u64 {
-            self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
+            self.in_queue_or_flight.sub(1);
             self.stats.note_rejected();
             return Err(ServeError::Overloaded);
         }
@@ -177,12 +175,12 @@ impl QueryServer {
                 Ok(Ticket { rx })
             }
             Err(PushError::Overloaded(_)) => {
-                self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
+                self.in_queue_or_flight.sub(1);
                 self.stats.note_rejected();
                 Err(ServeError::Overloaded)
             }
             Err(PushError::Closed(_)) => {
-                self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
+                self.in_queue_or_flight.sub(1);
                 self.stats.note_rejected();
                 Err(ServeError::ShuttingDown)
             }
@@ -228,7 +226,11 @@ impl QueryServer {
             // A worker that panicked already delivered `ShuttingDown`
             // to its waiters via the dropped channel; joining the rest
             // matters more than propagating the panic payload.
-            let _ = handle.join(); // aimq-lint: allow(result-discipline) -- join Err is a worker panic already surfaced to waiters
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "join Err is a worker panic already surfaced to waiters"
+            )]
+            let _ = handle.join();
         }
         self.stats.snapshot()
     }
@@ -238,7 +240,11 @@ impl Drop for QueryServer {
     fn drop(&mut self) {
         self.queue.close();
         for handle in self.workers.drain(..) {
-            let _ = handle.join(); // aimq-lint: allow(result-discipline) -- Drop must not panic; a worker panic is not recoverable here
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop must not panic; a worker panic is not recoverable here"
+            )]
+            let _ = handle.join();
         }
     }
 }
@@ -492,6 +498,12 @@ mod tests {
             final_stats.admitted,
             "every admitted query is served exactly once: {final_stats:#?}"
         );
+        assert_eq!(
+            final_stats.admitted + final_stats.rejected,
+            final_stats.submitted,
+            "every submission is admitted or refused, the closed-queue \
+             refusals included: {final_stats:#?}"
+        );
     }
 
     /// A database whose first probe blocks until the test's gate opens
@@ -510,6 +522,10 @@ mod tests {
         fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
             // Blocks until the test drops the sender; every later probe
             // sees the disconnect error immediately and sails through.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a recv error is the opened gate itself"
+            )]
             let _ = self.gate.lock().expect("gate lock").recv();
             self.inner.try_query(query)
         }

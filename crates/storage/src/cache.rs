@@ -1,5 +1,6 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
+use std::num::Saturating;
 use std::sync::{Arc, Mutex};
 
 use aimq_catalog::{Schema, SelectionQuery};
@@ -30,12 +31,10 @@ struct CacheState {
     /// the sequence of *misses*, never on hit timing, which keeps replayed
     /// runs byte-identical even if an observer probes the cache.
     order: VecDeque<SelectionQuery>,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
-    hits: u64,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
-    misses: u64,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
-    evictions: u64,
+    /// Event tallies, summed across stripes by `stats()`.
+    hits: Saturating<u64>,
+    misses: Saturating<u64>,
+    evictions: Saturating<u64>,
 }
 
 /// What a stripe lookup found (see [`CachedWebDb::lookup`]).
@@ -224,11 +223,11 @@ impl<D: WebDatabase> CachedWebDb<D> {
             Some(_) if defer_hits => Lookup::Flush,
             Some(page) => {
                 let page = page.clone();
-                state.hits = state.hits.saturating_add(1);
+                state.hits += 1;
                 Lookup::Hit(page)
             }
             None => {
-                state.misses = state.misses.saturating_add(1);
+                state.misses += 1;
                 Lookup::Miss
             }
         }
@@ -254,7 +253,7 @@ impl<D: WebDatabase> CachedWebDb<D> {
             match state.order.pop_front() {
                 Some(oldest) => {
                     state.pages.remove(&oldest);
-                    state.evictions = state.evictions.saturating_add(1);
+                    state.evictions += 1;
                 }
                 None => break,
             }
@@ -287,7 +286,7 @@ impl<D: WebDatabase> CachedWebDb<D> {
                     ended = true;
                     if let Some(stripe) = stripe {
                         let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
-                        state.misses = state.misses.saturating_sub(1);
+                        state.misses -= 1;
                     }
                 }
             }
@@ -375,17 +374,19 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
         // a counted miss, so summing stripe counters afterwards keeps the
         // `queries_issued <= cache_misses` invariant in every snapshot.
         let inner = self.inner.stats();
-        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut hits = Saturating(inner.cache_hits);
+        let mut misses = Saturating(inner.cache_misses);
+        let mut evictions = Saturating(inner.cache_evictions);
         for stripe in self.stripes.iter() {
             let state = lock_stats(stripe);
-            hits = hits.saturating_add(state.hits);
-            misses = misses.saturating_add(state.misses);
-            evictions = evictions.saturating_add(state.evictions);
+            hits += state.hits;
+            misses += state.misses;
+            evictions += state.evictions;
         }
         AccessStats {
-            cache_hits: inner.cache_hits.saturating_add(hits),
-            cache_misses: inner.cache_misses.saturating_add(misses),
-            cache_evictions: inner.cache_evictions.saturating_add(evictions),
+            cache_hits: hits.0,
+            cache_misses: misses.0,
+            cache_evictions: evictions.0,
             ..inner
         }
     }
@@ -394,9 +395,9 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
         self.inner.reset_stats();
         for stripe in self.stripes.iter() {
             let mut state = lock_stats(stripe);
-            state.hits = 0;
-            state.misses = 0;
-            state.evictions = 0;
+            state.hits = Saturating(0);
+            state.misses = Saturating(0);
+            state.evictions = Saturating(0);
         }
     }
 
@@ -449,6 +450,19 @@ mod tests {
         assert_eq!(s.queries_issued, 1, "the source saw the probe once");
         assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
         assert_eq!(db.inner().stats().queries_issued, 1);
+    }
+
+    #[test]
+    fn stripe_tallies_saturate_instead_of_wrapping() {
+        let db = CachedWebDb::new(InMemoryWebDb::new(relation()), 16);
+        let q = SelectionQuery::new(vec![make_eq("Toyota")]);
+        db.try_query(&q).unwrap();
+        for stripe in db.stripes.iter() {
+            lock_stats(stripe).hits = Saturating(u64::MAX - 1);
+        }
+        db.try_query(&q).unwrap();
+        db.try_query(&q).unwrap();
+        assert_eq!(db.stats().cache_hits, u64::MAX, "a full tally stays full");
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::num::Saturating;
 use std::sync::{Arc, Mutex};
 
 use aimq_catalog::{AttrId, Domain, Json, Predicate, Schema, SelectionQuery, Tuple, Value};
@@ -224,20 +225,15 @@ pub struct SourceHealth {
     /// Member name (stable across snapshots).
     pub name: String,
     /// Scatter probes issued to this member (hedge re-probes excluded).
-    // aimq-arith: counter -- monotone event tally
     pub probes_attempted: u64,
     /// Scatter probes that surfaced a failure after the member's own
     /// retries and breaker.
-    // aimq-arith: counter -- monotone event tally
     pub probes_failed: u64,
     /// Distinct merged tuples this member was the first to return.
-    // aimq-arith: counter -- monotone event tally
     pub tuples_contributed: u64,
     /// Hedge probes fired because this member straggled or failed.
-    // aimq-arith: counter -- monotone event tally
     pub hedges_fired: u64,
     /// Hedge probes fired for this member whose mirror returned a page.
-    // aimq-arith: counter -- monotone event tally
     pub hedges_won: u64,
     /// Whether the member's circuit breaker was open at snapshot time.
     pub breaker_open: bool,
@@ -343,7 +339,19 @@ pub struct FederatedWebDb {
     clock: Arc<VirtualClock>,
     // aimq-lock: family(federation-state) -- guards the per-member health
     // counters; released before every member probe
-    health: Arc<Mutex<Vec<SourceHealth>>>,
+    health: Arc<Mutex<Vec<Tally>>>,
+}
+
+/// One member's health counters as the federator updates them. They
+/// saturate by type; [`FederatedWebDb::federation_report`] copies them
+/// out as plain [`SourceHealth`] numbers.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    probes_attempted: Saturating<u64>,
+    probes_failed: Saturating<u64>,
+    tuples_contributed: Saturating<u64>,
+    hedges_fired: Saturating<u64>,
+    hedges_won: Saturating<u64>,
 }
 
 impl fmt::Debug for FederatedWebDb {
@@ -370,13 +378,7 @@ impl FederatedWebDb {
         if sources.is_empty() {
             return None;
         }
-        let health = sources
-            .iter()
-            .map(|s| SourceHealth {
-                name: s.name.clone(),
-                ..SourceHealth::default()
-            })
-            .collect();
+        let health = vec![Tally::default(); sources.len()];
         let mut mirrors = mirrors;
         mirrors.resize(sources.len(), None);
         Some(FederatedWebDb {
@@ -481,23 +483,28 @@ impl FederatedWebDb {
     /// Per-member health snapshot: scatter outcomes plus current breaker
     /// state. Counter order matches member order and is stable.
     pub fn federation_report(&self) -> Vec<SourceHealth> {
-        let mut snapshot = {
+        let tallies = {
             // aimq-lock: use(federation-state)
             lock_stats(&self.health).clone()
         };
-        for (i, h) in snapshot.iter_mut().enumerate() {
-            h.breaker_open = self
-                .members
-                .get(i)
-                .and_then(|m| m.breaker_probe.as_ref())
-                .is_some_and(|probe| probe());
-        }
-        snapshot
+        self.members
+            .iter()
+            .zip(tallies)
+            .map(|(m, t)| SourceHealth {
+                name: m.name.clone(),
+                probes_attempted: t.probes_attempted.0,
+                probes_failed: t.probes_failed.0,
+                tuples_contributed: t.tuples_contributed.0,
+                hedges_fired: t.hedges_fired.0,
+                hedges_won: t.hedges_won.0,
+                breaker_open: m.breaker_probe.as_ref().is_some_and(|probe| probe()),
+            })
+            .collect()
     }
 
     /// Run `mutate` over member `i`'s health counters under the state
     /// lock (never held across a probe).
-    fn with_health(&self, i: usize, mutate: impl FnOnce(&mut SourceHealth)) {
+    fn with_health(&self, i: usize, mutate: impl FnOnce(&mut Tally)) {
         // aimq-lock: use(federation-state)
         let mut health = lock_stats(&self.health);
         if let Some(h) = health.get_mut(i) {
@@ -549,7 +556,7 @@ impl FederatedWebDb {
         }
         if fresh > 0 {
             self.with_health(contributor, |h| {
-                h.tuples_contributed = h.tuples_contributed.saturating_add(fresh);
+                h.tuples_contributed += fresh;
             });
         }
     }
@@ -584,12 +591,12 @@ impl FederatedWebDb {
             self.clock.advance(delay);
         }
         self.with_health(i, |h| {
-            h.hedges_fired = h.hedges_fired.saturating_add(1);
+            h.hedges_fired += 1;
         });
         match self.probe_member(mirror, query) {
             Ok(page) => {
                 self.with_health(i, |h| {
-                    h.hedges_won = h.hedges_won.saturating_add(1);
+                    h.hedges_won += 1;
                 });
                 *truncated |= page.truncated;
                 self.merge_page(mirror_ix, page, seen, merged);
@@ -627,9 +634,9 @@ impl WebDatabase for FederatedWebDb {
             let elapsed = self.clock.now().saturating_sub(before);
             let failed = outcome.is_err();
             self.with_health(i, |h| {
-                h.probes_attempted = h.probes_attempted.saturating_add(1);
+                h.probes_attempted += 1;
                 if failed {
-                    h.probes_failed = h.probes_failed.saturating_add(1);
+                    h.probes_failed += 1;
                 }
             });
             match outcome {
@@ -693,13 +700,7 @@ impl WebDatabase for FederatedWebDb {
         }
         // aimq-lock: use(federation-state)
         let mut health = lock_stats(&self.health);
-        for h in health.iter_mut() {
-            let name = std::mem::take(&mut h.name);
-            *h = SourceHealth {
-                name,
-                ..SourceHealth::default()
-            };
-        }
+        health.fill(Tally::default());
     }
 
     fn source_health(&self) -> Option<Vec<SourceHealth>> {

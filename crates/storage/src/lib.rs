@@ -66,6 +66,7 @@ mod postings;
 mod relation;
 mod resilient;
 mod sampler;
+mod sync;
 mod web;
 
 pub use cache::{CachedWebDb, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_STRIPES};
@@ -82,4 +83,5 @@ pub use postings::{execute_query, union_kway, ExecStats, PlanExecutor};
 pub use relation::{Relation, RelationBuilder, RowId};
 pub use resilient::{ResilienceReport, ResilientWebDb, RetryPolicy, VirtualClock};
 pub use sampler::{probe_by_spanning_queries, random_sample, ProbeError};
-pub use web::{AccessStats, InMemoryWebDb, QueryError, QueryPage, StatsCell, WebDatabase};
+pub use sync::{Counter, Flag, StatsCell};
+pub use web::{AccessStats, InMemoryWebDb, QueryError, QueryPage, WebDatabase};

@@ -34,6 +34,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::num::Saturating;
 
 use aimq_catalog::{AttrId, Domain, Predicate, PredicateOp, SelectionQuery};
 
@@ -76,26 +77,20 @@ pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Queries evaluated through [`PlanExecutor::execute`].
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub queries_executed: u64,
+    pub queries_executed: Saturating<u64>,
     /// Per-attribute terms resolved to lazy handles (term-memo misses);
     /// resolving builds no row list.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub terms_evaluated: u64,
+    pub terms_evaluated: Saturating<u64>,
     /// Terms answered by the term memo without re-resolution.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub term_memo_hits: u64,
+    pub term_memo_hits: Saturating<u64>,
     /// First terms materialized into a row list (length-1 prefix-memo
     /// misses): a borrowed posting or a facet-tree range.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub drivers_materialized: u64,
+    pub drivers_materialized: Saturating<u64>,
     /// Row filters run over a running list (longer prefix-memo misses).
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub filters_applied: u64,
+    pub filters_applied: Saturating<u64>,
     /// Fold prefixes answered by the prefix memo — subexpressions
     /// (including whole queries) this plan did *not* re-evaluate.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
-    pub prefix_memo_hits: u64,
+    pub prefix_memo_hits: Saturating<u64>,
 }
 
 /// One attribute's predicate group, resolved to a handle whose exact row
@@ -219,7 +214,7 @@ impl<'a> PlanExecutor<'a> {
     /// order — byte-identical to a full scan with
     /// [`SelectionQuery::matches`].
     pub fn execute(&mut self, query: &SelectionQuery) -> Vec<RowId> {
-        self.stats.queries_executed = self.stats.queries_executed.saturating_add(1);
+        self.stats.queries_executed += 1;
 
         let mut groups: BTreeMap<AttrId, Vec<Predicate>> = BTreeMap::new();
         for p in query.canonicalize().predicates() {
@@ -239,18 +234,17 @@ impl<'a> PlanExecutor<'a> {
         for (id, term) in order {
             prefix.push(id);
             if let Some(&idx) = self.prefixes.get(&prefix) {
-                self.stats.prefix_memo_hits = self.stats.prefix_memo_hits.saturating_add(1);
+                self.stats.prefix_memo_hits += 1;
                 current = Some(idx);
                 continue;
             }
             let rows = match current.and_then(|idx| self.arena.get(idx)) {
                 None => {
-                    self.stats.drivers_materialized =
-                        self.stats.drivers_materialized.saturating_add(1);
+                    self.stats.drivers_materialized += 1;
                     term.materialize()
                 }
                 Some(running) => {
-                    self.stats.filters_applied = self.stats.filters_applied.saturating_add(1);
+                    self.stats.filters_applied += 1;
                     Cow::Owned(running.iter().copied().filter(|&r| term.keeps(r)).collect())
                 }
             };
@@ -269,10 +263,10 @@ impl<'a> PlanExecutor<'a> {
     /// group, via the term memo.
     fn term(&mut self, group: Vec<Predicate>) -> (usize, Term<'a>) {
         if let Some(&entry) = self.terms.get(&group) {
-            self.stats.term_memo_hits = self.stats.term_memo_hits.saturating_add(1);
+            self.stats.term_memo_hits += 1;
             return entry;
         }
-        self.stats.terms_evaluated = self.stats.terms_evaluated.saturating_add(1);
+        self.stats.terms_evaluated += 1;
         let entry = (self.terms.len(), resolve_term(self.relation, &group));
         self.terms.insert(group, entry);
         entry
@@ -540,12 +534,12 @@ mod tests {
         assert_eq!(
             exec.stats(),
             ExecStats {
-                queries_executed: 5,
-                terms_evaluated: 3,
-                term_memo_hits: 9,
-                drivers_materialized: 2,
-                filters_applied: 4,
-                prefix_memo_hits: 6,
+                queries_executed: Saturating(5),
+                terms_evaluated: Saturating(3),
+                term_memo_hits: Saturating(9),
+                drivers_materialized: Saturating(2),
+                filters_applied: Saturating(4),
+                prefix_memo_hits: Saturating(6),
             }
         );
 
@@ -556,9 +550,9 @@ mod tests {
         assert_eq!(
             exec.stats(),
             ExecStats {
-                queries_executed: before.queries_executed + 1,
-                term_memo_hits: before.term_memo_hits + 3,
-                prefix_memo_hits: before.prefix_memo_hits + 3,
+                queries_executed: before.queries_executed + Saturating(1),
+                term_memo_hits: before.term_memo_hits + Saturating(3),
+                prefix_memo_hits: before.prefix_memo_hits + Saturating(3),
                 ..before
             }
         );
@@ -586,9 +580,9 @@ mod tests {
         assert_eq!(exec.execute(&q), vec![3]);
         assert_eq!(exec.execute(&q.relax(&[AttrId(0)])), vec![3, 4]);
         let stats = exec.stats();
-        assert_eq!(stats.drivers_materialized, 1, "the range drove both");
-        assert_eq!(stats.filters_applied, 1);
-        assert_eq!(stats.prefix_memo_hits, 1);
+        assert_eq!(stats.drivers_materialized.0, 1, "the range drove both");
+        assert_eq!(stats.filters_applied.0, 1);
+        assert_eq!(stats.prefix_memo_hits.0, 1);
     }
 
     #[test]
@@ -608,10 +602,10 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(r1, scan(&r, &q1));
         let stats = exec.stats();
-        assert_eq!(stats.terms_evaluated, 2, "permutation shares both terms");
-        assert_eq!(stats.drivers_materialized, 1);
-        assert_eq!(stats.filters_applied, 1);
-        assert_eq!(stats.prefix_memo_hits, 2, "q2 is a whole-prefix replay");
+        assert_eq!(stats.terms_evaluated.0, 2, "permutation shares both terms");
+        assert_eq!(stats.drivers_materialized.0, 1);
+        assert_eq!(stats.filters_applied.0, 1);
+        assert_eq!(stats.prefix_memo_hits.0, 2, "q2 is a whole-prefix replay");
     }
 
     #[test]

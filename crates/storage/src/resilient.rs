@@ -12,7 +12,7 @@
 //! half-opens after `breaker_cooldown` rejected probes (or earlier, if
 //! backoff elsewhere moved the clock forward).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::num::Saturating;
 use std::sync::{Arc, Mutex};
 
 use aimq_catalog::{Schema, SelectionQuery};
@@ -20,16 +20,14 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::web::lock_stats;
-use crate::{AccessStats, QueryError, QueryPage, WebDatabase};
+use crate::{AccessStats, Counter, QueryError, QueryPage, WebDatabase};
 
 /// A monotone virtual clock counting abstract ticks.
 ///
 /// Shared by reference; advancing is wait-free.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    // aimq-atomic: counter -- wait-free monotone tick tally; readers only
-    // need an eventually-current value
-    ticks: AtomicU64,
+    ticks: Counter,
 }
 
 impl VirtualClock {
@@ -40,12 +38,12 @@ impl VirtualClock {
 
     /// Current tick.
     pub fn now(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
+        self.ticks.get()
     }
 
     /// Advance by `ticks`.
     pub fn advance(&self, ticks: u64) {
-        self.ticks.fetch_add(ticks, Ordering::Relaxed);
+        self.ticks.add(ticks);
     }
 }
 
@@ -89,31 +87,28 @@ impl Default for RetryPolicy {
 }
 
 /// Resilience outcome counters, separate from the raw access meter.
+/// Every counter saturates by type, so `+= 1` can never wrap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
     /// Failed attempts that were re-issued.
-    // aimq-arith: counter -- monotone event tally; compared against the probe budget
-    pub retries: u64,
+    pub retries: Saturating<u64>,
     /// Closed → open breaker transitions.
-    // aimq-arith: counter -- monotone event tally
-    pub breaker_trips: u64,
+    pub breaker_trips: Saturating<u64>,
     /// Half-open trial probes that succeeded and closed the breaker.
-    // aimq-arith: counter -- monotone event tally
-    pub breaker_recoveries: u64,
+    pub breaker_recoveries: Saturating<u64>,
     /// Probes rejected without touching the source (open breaker or
     /// exhausted budget).
-    // aimq-arith: counter -- monotone event tally
-    pub fast_failures: u64,
+    pub fast_failures: Saturating<u64>,
     /// Total attempts issued against the inner source.
-    // aimq-arith: counter -- monotone event tally; compared against the probe budget
-    pub attempts: u64,
+    pub attempts: Saturating<u64>,
 }
 
 #[derive(Debug)]
 struct ResilientState {
     rng: StdRng,
-    // aimq-arith: counter -- u32 failure streak; with breaker_threshold == 0 it is never reset, so wrap is reachable
-    consecutive_failures: u32,
+    /// Failure streak. With `breaker_threshold == 0` nothing resets it,
+    /// so it must saturate rather than wrap.
+    consecutive_failures: Saturating<u32>,
     /// `Some(tick)` while the breaker is open; half-opens at `tick`.
     open_until: Option<u64>,
     /// `true` between a half-open admission and the trial probe's verdict:
@@ -153,7 +148,7 @@ impl<D: WebDatabase> ResilientWebDb<D> {
             clock,
             state: Arc::new(Mutex::new(ResilientState {
                 rng: StdRng::seed_from_u64(policy.jitter_seed),
-                consecutive_failures: 0,
+                consecutive_failures: Saturating(0),
                 open_until: None,
                 half_open: false,
                 report: ResilienceReport::default(),
@@ -214,16 +209,16 @@ impl<D: WebDatabase> ResilientWebDb<D> {
     /// fresh cooldown — the source has not proven itself healthy, so it
     /// does not get `breaker_threshold` fresh failures of grace.
     fn note_failure(&self, state: &mut ResilientState) {
-        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
+        state.consecutive_failures += 1;
         if self.policy.breaker_threshold == 0 {
             return;
         }
         let failed_trial = std::mem::take(&mut state.half_open);
-        if (failed_trial || state.consecutive_failures >= self.policy.breaker_threshold)
+        if (failed_trial || state.consecutive_failures.0 >= self.policy.breaker_threshold)
             && state.open_until.is_none()
         {
             state.open_until = Some(self.clock.now() + self.policy.breaker_cooldown);
-            state.report.breaker_trips = state.report.breaker_trips.saturating_add(1);
+            state.report.breaker_trips += 1;
         }
     }
 }
@@ -243,33 +238,32 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
                 // advances virtual time one tick (see module docs).
                 if let Some(until) = state.open_until {
                     if self.clock.now() < until {
-                        state.report.fast_failures = state.report.fast_failures.saturating_add(1);
+                        state.report.fast_failures += 1;
                         drop(state);
                         self.clock.advance(1);
                         return Err(QueryError::Unavailable);
                     }
                     // Cooldown elapsed: half-open, admit one trial.
                     state.open_until = None;
-                    state.consecutive_failures = 0;
+                    state.consecutive_failures = Saturating(0);
                     state.half_open = true;
                 }
                 // Probe budget is spent per attempt, retries included.
                 if let Some(budget) = self.policy.probe_budget {
-                    if state.report.attempts >= budget {
-                        state.report.fast_failures = state.report.fast_failures.saturating_add(1);
+                    if state.report.attempts.0 >= budget {
+                        state.report.fast_failures += 1;
                         return Err(QueryError::Unavailable);
                     }
                 }
-                state.report.attempts = state.report.attempts.saturating_add(1);
+                state.report.attempts += 1;
             }
 
             match self.inner.try_query(query) {
                 Ok(page) => {
                     let mut state = lock_stats(&self.state);
-                    state.consecutive_failures = 0;
+                    state.consecutive_failures = Saturating(0);
                     if std::mem::take(&mut state.half_open) {
-                        state.report.breaker_recoveries =
-                            state.report.breaker_recoveries.saturating_add(1);
+                        state.report.breaker_recoveries += 1;
                     }
                     return Ok(page);
                 }
@@ -282,7 +276,7 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
                         return Err(error);
                     }
                     attempt += 1;
-                    state.report.retries = state.report.retries.saturating_add(1);
+                    state.report.retries += 1;
                     let wait = self.wait_for(&mut state, attempt, error);
                     drop(state);
                     self.clock.advance(wait);
@@ -295,14 +289,14 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
         let inner = self.inner.stats();
         let state = lock_stats(&self.state);
         AccessStats {
-            retries: inner.retries.saturating_add(state.report.retries),
-            failures: inner.failures.saturating_add(state.report.fast_failures),
+            retries: inner.retries.saturating_add(state.report.retries.0),
+            failures: inner.failures.saturating_add(state.report.fast_failures.0),
             breaker_trips: inner
                 .breaker_trips
-                .saturating_add(state.report.breaker_trips),
+                .saturating_add(state.report.breaker_trips.0),
             breaker_recoveries: inner
                 .breaker_recoveries
-                .saturating_add(state.report.breaker_recoveries),
+                .saturating_add(state.report.breaker_recoveries.0),
             ..inner
         }
     }
@@ -358,20 +352,24 @@ mod tests {
         // expected number of surfaced failures is ~0.03.
         assert_eq!(failures, 0, "retries should absorb a 10% flaky source");
         let r = db.report();
-        assert!(r.retries > 0, "some retries must have happened");
-        assert_eq!(db.stats().retries, r.retries);
+        assert!(r.retries.0 > 0, "some retries must have happened");
+        assert_eq!(db.stats().retries, r.retries.0);
     }
 
     #[test]
     fn backoff_advances_virtual_clock_only() {
         let db = ResilientWebDb::new(flaky_db(7), RetryPolicy::default());
         for _ in 0..200 {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the test reads the report, not each outcome"
+            )]
             let _ = db.try_query(&SelectionQuery::all());
         }
         let r = db.report();
-        assert!(r.retries > 0);
+        assert!(r.retries.0 > 0);
         assert!(
-            db.clock().now() >= r.retries,
+            db.clock().now() >= r.retries.0,
             "each retry waits at least one tick"
         );
     }
@@ -401,6 +399,22 @@ mod tests {
     }
 
     #[test]
+    fn failure_streak_saturates_without_a_breaker() {
+        // With `breaker_threshold == 0` nothing resets the streak, so it
+        // must stop at the top instead of wrapping back to zero.
+        let policy = RetryPolicy {
+            breaker_threshold: 0,
+            ..RetryPolicy::default()
+        };
+        let db = ResilientWebDb::new(flaky_db(7), policy);
+        let mut state = lock_stats(&db.state);
+        state.consecutive_failures = Saturating(u32::MAX - 1);
+        db.note_failure(&mut state);
+        db.note_failure(&mut state);
+        assert_eq!(state.consecutive_failures.0, u32::MAX);
+    }
+
+    #[test]
     fn breaker_opens_after_consecutive_failures_and_half_opens() {
         let dead = FaultInjectingWebDb::new(
             base_db(),
@@ -420,7 +434,7 @@ mod tests {
         // First query: 3 consecutive failures trip the breaker mid-retry.
         assert!(db.try_query(&SelectionQuery::all()).is_err());
         assert!(db.breaker_open());
-        assert_eq!(db.report().breaker_trips, 1);
+        assert_eq!(db.report().breaker_trips.0, 1);
         // While open: fast Unavailable without touching the source.
         let attempts_before = db.report().attempts;
         for _ in 0..4 {
@@ -433,6 +447,10 @@ mod tests {
         // Rejections advanced the clock past the cooldown: half-open
         // admits a trial again (which fails and re-trips eventually).
         assert!(!db.breaker_open());
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the trial's outcome is random; the test reads the attempt count"
+        )]
         let _ = db.try_query(&SelectionQuery::all());
         assert!(db.report().attempts > attempts_before);
     }
@@ -464,7 +482,7 @@ mod tests {
             }
         }
         assert!(successes > 0, "breaker must keep half-opening");
-        assert!(db.report().breaker_trips > 0);
+        assert!(db.report().breaker_trips.0 > 0);
     }
 
     /// An inner source that plays a fixed fail/succeed script, front
@@ -525,7 +543,7 @@ mod tests {
         assert!(db.try_query(&SelectionQuery::all()).is_err());
         assert!(db.try_query(&SelectionQuery::all()).is_err());
         assert!(db.breaker_open());
-        assert_eq!(db.report().breaker_trips, 1);
+        assert_eq!(db.report().breaker_trips.0, 1);
         // Three fast-fails walk the clock through the cooldown.
         for _ in 0..3 {
             assert_eq!(
@@ -537,14 +555,14 @@ mod tests {
         // Half-open trial: succeeds, breaker closes, recovery counted.
         assert!(db.try_query(&SelectionQuery::all()).is_ok());
         assert!(!db.breaker_open());
-        assert_eq!(db.report().breaker_recoveries, 1);
+        assert_eq!(db.report().breaker_recoveries.0, 1);
         assert_eq!(db.stats().breaker_recoveries, 1);
         // Steady state: subsequent probes flow without fast-fails.
         let fast_failures = db.report().fast_failures;
         assert!(db.try_query(&SelectionQuery::all()).is_ok());
         assert_eq!(db.report().fast_failures, fast_failures);
         // A recovery is not a second trip.
-        assert_eq!(db.report().breaker_trips, 1);
+        assert_eq!(db.report().breaker_trips.0, 1);
     }
 
     #[test]
@@ -558,7 +576,7 @@ mod tests {
         );
         assert!(db.try_query(&SelectionQuery::all()).is_err());
         assert!(db.try_query(&SelectionQuery::all()).is_err());
-        assert_eq!(db.report().breaker_trips, 1);
+        assert_eq!(db.report().breaker_trips.0, 1);
         for _ in 0..3 {
             assert_eq!(
                 db.try_query(&SelectionQuery::all()),
@@ -572,8 +590,8 @@ mod tests {
             Err(QueryError::Transient)
         );
         assert!(db.breaker_open(), "failed trial must re-open the breaker");
-        assert_eq!(db.report().breaker_trips, 2);
-        assert_eq!(db.report().breaker_recoveries, 0);
+        assert_eq!(db.report().breaker_trips.0, 2);
+        assert_eq!(db.report().breaker_recoveries.0, 0);
         // Fresh cooldown: three more rejections before the next trial,
         // which succeeds (script exhausted) and finally recovers.
         for _ in 0..3 {
@@ -583,7 +601,7 @@ mod tests {
             );
         }
         assert!(db.try_query(&SelectionQuery::all()).is_ok());
-        assert_eq!(db.report().breaker_recoveries, 1);
+        assert_eq!(db.report().breaker_recoveries.0, 1);
         assert!(!db.breaker_open());
     }
 
@@ -643,7 +661,7 @@ mod tests {
             db.try_query(&SelectionQuery::all()),
             Err(QueryError::Unavailable)
         );
-        assert_eq!(db.report().retries, 0);
-        assert_eq!(db.report().attempts, 1);
+        assert_eq!(db.report().retries.0, 0);
+        assert_eq!(db.report().attempts.0, 1);
     }
 }

@@ -264,9 +264,9 @@ mod tests {
                     "breaker-open pass must surface the terminal failure: {error:?}"
                 );
             }
-            other => panic!("unexpected error kind: {other:?}"),
+            other @ ProbeError::Catalog(_) => panic!("unexpected error kind: {other:?}"),
         }
-        assert!(resilient.report().breaker_trips >= 1);
+        assert!(resilient.report().breaker_trips.0 >= 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::collections::BTreeSet;
 
 use crate::rules::{Finding, Severity};
-use crate::source::{ScannedFile, Token};
+use crate::source::{line_offsets, ScannedFile, Token};
 use crate::structure::find_functions;
 
 /// Fault enums whose constructions are tainted. `JsonError` is a
@@ -166,17 +166,6 @@ fn check_file(file: &DataflowFile, findings: &mut Vec<(usize, Finding)>) {
             ));
         }
     }
-}
-
-/// Byte offset of the start of each 1-based line.
-fn line_offsets(text: &str) -> Vec<usize> {
-    let mut starts = vec![0usize];
-    for (i, b) in text.bytes().enumerate() {
-        if b == b'\n' {
-            starts.push(i + 1);
-        }
-    }
-    starts
 }
 
 /// Index of the delimiter matching `toks[open]`.

@@ -6,15 +6,22 @@
 //! analysis & invariants"). L1 panic-freedom, L3 hash-container
 //! determinism and L4 wall-clock independence are clippy's: the library
 //! crate roots deny the panic lints and `clippy::disallowed_{methods,
-//! types}` against the workspace `clippy.toml`. What stays here:
+//! types}` against the workspace `clippy.toml`. L6 atomics and L10
+//! counter arithmetic are types: `aimq_storage::{Counter, Flag,
+//! StatsCell}` fix the memory orderings, `clippy.toml` bans the raw
+//! atomic types, and tallies are `std::num::Saturating`. L9 result
+//! discipline is rustc's `unused_must_use` plus clippy's
+//! `let_underscore_must_use`, `unused_result_ok` and
+//! `wildcard_enum_match_arm`, denied in `[workspace.lints]`. What stays
+//! here:
 //!
 //! - **L2 float-ordering safety**: similarity/importance scores are
 //!   compared with `f64::total_cmp`/`OrderedScore`, never the
 //!   NaN-unsafe `partial_cmp`, plus warn-level direct `expr[...]`
 //!   indexing (clippy's `indexing_slicing` misses `BTreeMap[&k]`).
 //!
-//! With the concurrent runtime (worker pool, striped cache, atomic
-//! stats), three structure-aware families joined (see the `structure`
+//! With the concurrent runtime (worker pool, striped cache, shared
+//! stats), two structure-aware families joined (see the `structure`
 //! module for the analysis engine):
 //!
 //! - **L5 lock-discipline**: every owned `Mutex` belongs to a named
@@ -22,16 +29,12 @@
 //!   tracked guard-by-guard, and the workspace-wide family graph must
 //!   stay acyclic — plus no guard may be held across a blocking call
 //!   (`try_query`, `Condvar::wait`, channel `recv`).
-//! - **L6 atomics-audit**: every atomic field declares a role
-//!   (`// aimq-atomic: counter|flag|seqlock -- why`);
-//!   `Ordering::Relaxed` is legal only for counters (or fenced seqlock
-//!   payloads), and flag/seqlock roles must pair Acquire with Release.
 //! - **L7 layering**: cross-crate imports and `Cargo.toml` dependencies
 //!   must follow the crate DAG
 //!   (catalog → storage → {afd, sim} → rock → core → serve → http →
 //!   bins).
 //!
-//! Three effect-system families ride on a shared call-graph fixpoint
+//! The effect-system family rides on a shared call-graph fixpoint
 //! (`callgraph` module) and the directive grammar (see the `effects`
 //! module):
 //!
@@ -42,16 +45,6 @@
 //!   `rock`, `catalog`), banned under a live lock guard, and direct
 //!   boundary callers must be annotated
 //!   `// aimq-probe: entry -- <why>` (stale annotations are errors).
-//! - **L9 result-discipline**: non-test code may not discard fallible
-//!   results — `let _ =`, terminal `.ok();`, bare call statements to
-//!   functions returning `QueryError`/`ProbeError`/`ServeError`
-//!   results, and wildcard `_ =>` arms in matches over those enums are
-//!   all errors.
-//! - **L10 counter-arith**: fields annotated `aimq-atomic: counter` or
-//!   `// aimq-arith: counter -- <why>` are tracked in their declaring
-//!   file; plain `+`/`-`/`*` (or compound) arithmetic touching them
-//!   must become `saturating_*`/`checked_*` or carry
-//!   `// aimq-arith: allow -- <invariant>`.
 //!
 //! Three wire-contract families guard what clients of the HTTP front
 //! door actually see (the `wire` and `dataflow` modules):
@@ -94,7 +87,6 @@ pub mod wire;
 
 pub use rules::{rule_info, Finding, RuleInfo, Severity, KNOWN_RULES, RULES};
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Library crates under the float-ordering, indexing and concurrency
@@ -212,9 +204,8 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         .collect();
     late.extend(layering::check_imports(&imports, &manifests.declared));
 
-    // Pass 2c: effect-system rules (L8 probe-effect over the shared
-    // call graph, L9 result-discipline, L10 counter-arith) over every
-    // crate — bins and eval included, which the per-file rules skip.
+    // Pass 2c: L8 probe-effect over the shared call graph, every crate
+    // — bins and eval included, which the per-file rules skip.
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()
@@ -482,8 +473,8 @@ pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
 }
 
 /// Per-file pass over pre-scanned facts: directive hygiene, the
-/// token-level rules (L2 and indexing), and the file-local halves of
-/// L5/L6.
+/// token-level rules (L2 and indexing), and the file-local half of
+/// L5.
 fn lint_scanned(
     scanned: &source::ScannedFile,
     analysis: &structure::FileAnalysis,
@@ -559,23 +550,20 @@ pub fn render(diag: &Diagnostic) -> String {
         Severity::Error => "error",
         Severity::Warning => "warning",
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "{label}[aimq::{}]: {}", diag.rule, diag.message);
-    let _ = writeln!(
-        out,
-        "  --> {}:{}:{}",
-        diag.path.display(),
-        diag.line,
-        diag.col
-    );
     let gutter = diag.line.to_string();
     let pad = " ".repeat(gutter.len());
-    let _ = writeln!(out, "{pad} |");
-    let _ = writeln!(out, "{gutter} | {}", diag.snippet);
     let caret_pad = " ".repeat(diag.col.saturating_sub(1));
-    let _ = writeln!(out, "{pad} | {caret_pad}^");
+    let mut out = format!(
+        "{label}[aimq::{}]: {}\n  --> {}:{}:{}\n{pad} |\n{gutter} | {}\n{pad} | {caret_pad}^\n",
+        diag.rule,
+        diag.message,
+        diag.path.display(),
+        diag.line,
+        diag.col,
+        diag.snippet
+    );
     if !diag.help.is_empty() {
-        let _ = writeln!(out, "{pad} = help: {}", diag.help);
+        out.push_str(&format!("{pad} = help: {}\n", diag.help));
     }
     out
 }

@@ -300,10 +300,11 @@ fn wire(args: Vec<String>) -> ExitCode {
         Ok(rendered) => {
             if write {
                 let pin = root.join("results").join("WIRE_SCHEMA.json");
-                if let Some(dir) = pin.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                if let Err(err) = std::fs::write(&pin, &rendered) {
+                let written = pin
+                    .parent()
+                    .map_or(Ok(()), std::fs::create_dir_all)
+                    .and_then(|()| std::fs::write(&pin, &rendered));
+                if let Err(err) = written {
                     eprintln!("error: failed to write {}: {err}", pin.display());
                     return ExitCode::from(2);
                 }
@@ -351,7 +352,10 @@ fn pin(args: Vec<String>) -> ExitCode {
     };
     if write {
         let results = root.join("results");
-        let _ = std::fs::create_dir_all(&results);
+        if let Err(err) = std::fs::create_dir_all(&results) {
+            eprintln!("error: failed to create {}: {err}", results.display());
+            return ExitCode::from(2);
+        }
         for (name, rendered) in [
             ("PROBE_ENTRYPOINTS.txt", &probes_rendered),
             ("WIRE_SCHEMA.json", &wire_rendered),

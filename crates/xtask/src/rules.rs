@@ -5,11 +5,8 @@
 //! | `indexing` | warning | eight library crates | direct `expr[...]` indexing/slicing |
 //! | `float-ordering` | error | eight library crates | `.partial_cmp(` calls on scores |
 //! | `lock-discipline` | error | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
-//! | `atomics-audit` | error | eight library crates | atomic fields without a role annotation, `Relaxed` outside `counter` roles, unpaired Acquire/Release |
 //! | `layering` | error | all aimq crates | upward or undeclared cross-crate dependencies and imports |
 //! | `probe-effect` | error | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
-//! | `result-discipline` | error | all aimq crates | `let _ =`, terminal `.ok();`, bare calls discarding fault-carrying `Result`s, wildcard `_ =>` arms over fault enums |
-//! | `counter-arith` | error | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching tracked budget/counter fields |
 //! | `wire-drift` | error | all aimq crates | stale `results/WIRE_SCHEMA.json`, duplicate JSON keys, unannotated conditional keys in `to_json` bodies |
 //! | `error-surface` | error | all aimq crates | fault-enum variants never named at the HTTP boundary, machine codes missing from (or drifted against) the DESIGN.md status-code table |
 //! | `degradation-flow` | error | all aimq crates | constructed fault-enum values that never reach a sink (return, `?`, call/recorder, tail position) |
@@ -19,7 +16,14 @@
 //! ban (L4) are clippy's: the library crate roots deny the panic lints
 //! and `clippy::disallowed_{methods,types}` against the workspace
 //! `clippy.toml`, and exceptions carry `#[expect(…, reason = "…")]`.
-//! Two rules stay lexical here because clippy does not cover them:
+//! Atomics (L6) and counter arithmetic (L10) are types:
+//! `aimq_storage::{Counter, Flag, StatsCell}` fix the memory orderings,
+//! `clippy.toml` bans the raw atomic types, and tallies are
+//! `std::num::Saturating`. Result discipline (L9) is rustc's
+//! `unused_must_use` plus clippy's `let_underscore_must_use`,
+//! `unused_result_ok` and `wildcard_enum_match_arm`, denied in
+//! `[workspace.lints]`. Two rules stay lexical here because clippy does
+//! not cover them:
 //! `clippy::indexing_slicing` skips `BTreeMap[&k]`, which panics on a
 //! missing key, and banning `PartialOrd::partial_cmp` through
 //! `disallowed-methods` fires inside every `#[derive(PartialOrd)]`.
@@ -29,9 +33,9 @@
 //! indexing is pervasive in the hot paths; `--deny-warnings` promotes
 //! it for audits.
 //!
-//! The structure-aware families L5 `lock-discipline` and L6
-//! `atomics-audit` live in [`crate::concurrency`] (facts from
-//! [`crate::structure`]); L7 `layering` lives in [`crate::layering`].
+//! The structure-aware L5 `lock-discipline` lives in
+//! [`crate::concurrency`] (facts from [`crate::structure`]); L7
+//! `layering` lives in [`crate::layering`].
 //! They are listed here so suppression, `--explain`, and the doc table
 //! stay in one registry.
 
@@ -133,11 +137,8 @@ pub const KNOWN_RULES: &[&str] = &[
     "indexing",
     "float-ordering",
     "lock-discipline",
-    "atomics-audit",
     "layering",
     "probe-effect",
-    "result-discipline",
-    "counter-arith",
     "wire-drift",
     "error-surface",
     "degradation-flow",
@@ -196,19 +197,6 @@ pub const RULES: &[RuleInfo] = &[
                  acquisition order, and scope guards so they drop before blocking calls.",
     },
     RuleInfo {
-        id: "atomics-audit",
-        severity: Severity::Error,
-        summary: "atomic fields without a role, `Relaxed` outside counter roles, and \
-                  unpaired Acquire/Release",
-        rationale: "~40 `Ordering::Relaxed` sites entered with the concurrent runtime; \
-                    relaxed ops are correct for statistics counters but silently wrong for \
-                    flags and seqlock payloads, and the difference is invisible in review \
-                    without a declared intent.",
-        remedy: "annotate each atomic with `// aimq-atomic: counter|flag|seqlock -- <why>`; \
-                 flags pair Release stores with Acquire loads; seqlock payloads stay Relaxed \
-                 only under a version-word fence in the same function.",
-    },
-    RuleInfo {
         id: "layering",
         severity: Severity::Error,
         summary: "cross-crate dependencies or imports that go up the crate DAG, or that \
@@ -237,32 +225,6 @@ pub const RULES: &[RuleInfo] = &[
                  caller with `// aimq-probe: entry -- <where budget accounting lives>`; drop \
                  guards before probing; justify residues with \
                  `// aimq-lint: allow(probe-effect) -- <why>`.",
-    },
-    RuleInfo {
-        id: "result-discipline",
-        severity: Severity::Error,
-        summary: "silently discarded fallible results (`let _ =`, terminal `.ok();`, bare \
-                  call statements) and wildcard `_ =>` arms over fault enums",
-        rationale: "the fault taxonomy (`QueryError`, `ProbeError`, `ServeError`) exists so \
-                    degradation is explicit; a swallowed error or a wildcard arm absorbs a \
-                    fault the engine was designed to account for, and a newly added fault \
-                    variant should not compile until every match decides what it means.",
-        remedy: "propagate with `?`, handle with `match`/`if let Err`, count the event in \
-                 stats, and name every enum variant; justify intentional drops with \
-                 `// aimq-lint: allow(result-discipline) -- <why>`.",
-    },
-    RuleInfo {
-        id: "counter-arith",
-        severity: Severity::Error,
-        summary: "unchecked `+`/`-`/`*` (or compound) arithmetic in statements touching \
-                  tracked budget/counter fields",
-        rationale: "probe budgets, cache capacities, and statistics counters are the units \
-                    the engine's degradation contract is written in; debug builds panic on \
-                    overflow but release builds wrap silently, turning an exhausted budget \
-                    into a fresh one.",
-        remedy: "track fields with `// aimq-atomic: counter` or `// aimq-arith: counter -- \
-                 <what it counts>`, use `saturating_*`/`checked_*` arithmetic on them, and \
-                 justify bounded sites with `// aimq-arith: allow -- <invariant>`.",
     },
     RuleInfo {
         id: "wire-drift",

@@ -48,12 +48,8 @@ pub struct ScannedFile {
     pub allows: Vec<AllowDirective>,
     /// Parsed `aimq-lock:` family/use annotations.
     pub lock_directives: Vec<LockDirective>,
-    /// Parsed `aimq-atomic:` role annotations.
-    pub atomic_directives: Vec<AtomicDirective>,
     /// Parsed `aimq-probe: entry` annotations (L8 probe effects).
     pub probe_directives: Vec<ProbeDirective>,
-    /// Parsed `aimq-arith:` annotations (L10 counter arithmetic).
-    pub arith_directives: Vec<ArithDirective>,
     /// Parsed `aimq-wire: optional` annotations (L11 wire drift).
     pub wire_directives: Vec<WireDirective>,
     /// Parsed `aimq-fault: sink` annotations (L13 degradation flow).
@@ -97,57 +93,6 @@ pub struct LockDirective {
     /// Family declaration or acquisition-site assertion.
     pub annotation: LockAnnotation,
     /// Justification text after `--` (required for `family`).
-    pub justification: String,
-}
-
-/// Role taxonomy for atomic fields (L6 atomics audit). The role decides
-/// which memory orderings the lint accepts on the field's operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicRole {
-    /// Monotone, independently meaningful tally: `Relaxed` everywhere
-    /// is correct (per-location modification order is all that matters).
-    Counter,
-    /// Cross-thread publication latch: stores must be `Release`-or-
-    /// stronger, loads `Acquire`-or-stronger; `Relaxed` is an error.
-    Flag,
-    /// Seqlock protocol word (or the slots it versions): `Relaxed` is
-    /// permitted only alongside an Acquire/Release op or fence in the
-    /// same function, and the field must exhibit an Acquire/Release
-    /// pair somewhere in its file.
-    Seqlock,
-}
-
-impl AtomicRole {
-    /// Parse a role keyword.
-    pub fn parse(s: &str) -> Option<AtomicRole> {
-        match s {
-            "counter" => Some(AtomicRole::Counter),
-            "flag" => Some(AtomicRole::Flag),
-            "seqlock" => Some(AtomicRole::Seqlock),
-            _ => None,
-        }
-    }
-
-    /// The keyword form used in annotations.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AtomicRole::Counter => "counter",
-            AtomicRole::Flag => "flag",
-            AtomicRole::Seqlock => "seqlock",
-        }
-    }
-}
-
-/// A parsed `// aimq-atomic: <role> -- justification` annotation.
-#[derive(Debug, Clone)]
-pub struct AtomicDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code the annotation applies to (1-based).
-    pub target_line: usize,
-    /// Declared role.
-    pub role: AtomicRole,
-    /// Justification text after `--`.
     pub justification: String,
 }
 
@@ -204,38 +149,9 @@ pub struct FaultDirective {
     pub justification: String,
 }
 
-/// What an `aimq-arith:` annotation asserts (L10 counter arithmetic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithAnnotation {
-    /// `counter` on a plain-integer field declaration: the field is a
-    /// budget/counter/statistic whose arithmetic must not wrap, so
-    /// every `+`/`-`/`*` touching it needs `saturating_*`/`checked_*`
-    /// (atomic fields annotated `aimq-atomic: counter` are tracked
-    /// automatically and do not need this).
-    Counter,
-    /// `allow` on an arithmetic site: the stated invariant bounds the
-    /// operands, so plain arithmetic cannot wrap there.
-    Allow,
-}
-
-/// A parsed `// aimq-arith: counter|allow -- justification`.
-#[derive(Debug, Clone)]
-pub struct ArithDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code the annotation applies to (1-based).
-    pub target_line: usize,
-    /// Tracked-field marker or per-site escape.
-    pub annotation: ArithAnnotation,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 const DIRECTIVE: &str = "aimq-lint:";
 const LOCK_DIRECTIVE: &str = "aimq-lock:";
-const ATOMIC_DIRECTIVE: &str = "aimq-atomic:";
 const PROBE_DIRECTIVE: &str = "aimq-probe:";
-const ARITH_DIRECTIVE: &str = "aimq-arith:";
 const WIRE_DIRECTIVE: &str = "aimq-wire:";
 const FAULT_DIRECTIVE: &str = "aimq-fault:";
 
@@ -252,13 +168,22 @@ pub fn scan(text: &str) -> ScannedFile {
         test_regions,
         allows: directives.allows,
         lock_directives: directives.locks,
-        atomic_directives: directives.atomics,
         probe_directives: directives.probes,
-        arith_directives: directives.ariths,
         wire_directives: directives.wires,
         fault_directives: directives.faults,
         bad_directives: directives.bad,
     }
+}
+
+/// Byte offset of the start of each 1-based line of `text`.
+pub fn line_offsets(text: &str) -> Vec<usize> {
+    let mut starts = vec![0usize];
+    for (i, b) in text.bytes().enumerate() {
+        if b == b'\n' {
+            starts.push(i + 1);
+        }
+    }
+    starts
 }
 
 impl ScannedFile {
@@ -552,9 +477,7 @@ fn match_attr(tokens: &[Token], k: usize, inner: &[&str]) -> Option<usize> {
 struct Directives {
     allows: Vec<AllowDirective>,
     locks: Vec<LockDirective>,
-    atomics: Vec<AtomicDirective>,
     probes: Vec<ProbeDirective>,
-    ariths: Vec<ArithDirective>,
     wires: Vec<WireDirective>,
     faults: Vec<FaultDirective>,
     bad: Vec<(usize, String)>,
@@ -564,9 +487,7 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
     let mut out = Directives {
         allows: Vec::new(),
         locks: Vec::new(),
-        atomics: Vec::new(),
         probes: Vec::new(),
-        ariths: Vec::new(),
         wires: Vec::new(),
         faults: Vec::new(),
         bad: Vec::new(),
@@ -585,7 +506,7 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
             match classes[start + n] {
                 ByteClass::Comment => comment.push(b as char),
                 ByteClass::Code if !b.is_ascii_whitespace() => has_code = true,
-                _ => {}
+                ByteClass::Code | ByteClass::Literal => {}
             }
         }
         line_info.push((has_code, comment));
@@ -632,34 +553,12 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
                 }),
                 Err(msg) => out.bad.push((line, msg)),
             }
-        } else if let Some(pos) = comment.find(ATOMIC_DIRECTIVE) {
-            let body = comment[pos + ATOMIC_DIRECTIVE.len()..].trim();
-            match parse_atomic(body) {
-                Ok((role, justification)) => out.atomics.push(AtomicDirective {
-                    line,
-                    target_line: target_of(idx),
-                    role,
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
         } else if let Some(pos) = comment.find(PROBE_DIRECTIVE) {
             let body = comment[pos + PROBE_DIRECTIVE.len()..].trim();
             match parse_probe(body) {
                 Ok(justification) => out.probes.push(ProbeDirective {
                     line,
                     target_line: target_of(idx),
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
-        } else if let Some(pos) = comment.find(ARITH_DIRECTIVE) {
-            let body = comment[pos + ARITH_DIRECTIVE.len()..].trim();
-            match parse_arith(body) {
-                Ok((annotation, justification)) => out.ariths.push(ArithDirective {
-                    line,
-                    target_line: target_of(idx),
-                    annotation,
                     justification,
                 }),
                 Err(msg) => out.bad.push((line, msg)),
@@ -767,25 +666,6 @@ fn parse_lock(body: &str) -> Result<(LockAnnotation, String), String> {
     Ok((annotation, justification.to_string()))
 }
 
-/// Parse `<role> -- justification` where role ∈ {counter, flag, seqlock}.
-fn parse_atomic(body: &str) -> Result<(AtomicRole, String), String> {
-    let (word, tail) = match body.find(|c: char| c.is_ascii_whitespace()) {
-        Some(n) => (&body[..n], body[n..].trim()),
-        None => (body, ""),
-    };
-    let role = AtomicRole::parse(word).ok_or_else(|| {
-        format!("unknown atomic role `{word}`: expected `counter`, `flag` or `seqlock`")
-    })?;
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(format!(
-            "atomic role annotation requires a justification: \
-             `{ATOMIC_DIRECTIVE} {word} -- <why this role / ordering is sound>`"
-        ));
-    }
-    Ok((role, justification.to_string()))
-}
-
 /// Parse `entry -- justification`.
 fn parse_probe(body: &str) -> Result<String, String> {
     let tail = body
@@ -832,37 +712,6 @@ fn parse_fault(body: &str) -> Result<String, String> {
         ));
     }
     Ok(justification.to_string())
-}
-
-/// Parse `counter -- why` or `allow -- invariant`.
-fn parse_arith(body: &str) -> Result<(ArithAnnotation, String), String> {
-    let (word, tail) = match body.find(|c: char| c.is_ascii_whitespace()) {
-        Some(n) => (&body[..n], body[n..].trim()),
-        None => (body, ""),
-    };
-    let annotation = match word {
-        "counter" => ArithAnnotation::Counter,
-        "allow" => ArithAnnotation::Allow,
-        _ => {
-            return Err(format!(
-                "unknown arith annotation `{word}`: expected `counter` or `allow`"
-            ))
-        }
-    };
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(match annotation {
-            ArithAnnotation::Counter => format!(
-                "tracked-counter annotation requires a justification: \
-                 `{ARITH_DIRECTIVE} counter -- <what this field counts>`"
-            ),
-            ArithAnnotation::Allow => format!(
-                "arith escape requires the bounding invariant: \
-                 `{ARITH_DIRECTIVE} allow -- <why these operands cannot wrap>`"
-            ),
-        });
-    }
-    Ok((annotation, justification.to_string()))
 }
 
 #[cfg(test)]
@@ -952,24 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_role_directive_parses() {
-        let src = "// aimq-atomic: seqlock -- even/odd version word\nversion: AtomicU64,";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.atomic_directives[0].role, AtomicRole::Seqlock);
-        assert_eq!(f.atomic_directives[0].target_line, 2);
-    }
-
-    #[test]
-    fn atomic_role_rejects_unknown_role_and_missing_why() {
-        let unknown = scan("// aimq-atomic: gauge -- hmm\nx: AtomicU64,");
-        assert_eq!(unknown.bad_directives.len(), 1);
-        assert!(unknown.bad_directives[0].1.contains("unknown atomic role"));
-        let bare = scan("// aimq-atomic: counter\nx: AtomicU64,");
-        assert_eq!(bare.bad_directives.len(), 1);
-    }
-
-    #[test]
     fn probe_entry_directive_parses_and_targets_the_fn_line() {
         let src =
             "// aimq-probe: entry -- budget accounted in ResilienceReport\nfn probe(&self) {}";
@@ -985,27 +816,6 @@ mod tests {
         assert_eq!(bare.bad_directives.len(), 1);
         let wrong = scan("// aimq-probe: exit -- nope\nfn probe(&self) {}");
         assert_eq!(wrong.bad_directives.len(), 1);
-    }
-
-    #[test]
-    fn arith_directives_parse_both_kinds() {
-        let src = "// aimq-arith: counter -- probe budget\nattempts: u64,\n\
-                   fn f(&self) { let x = self.attempts + 1; } // aimq-arith: allow -- bounded by budget";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.arith_directives.len(), 2);
-        assert_eq!(f.arith_directives[0].annotation, ArithAnnotation::Counter);
-        assert_eq!(f.arith_directives[0].target_line, 2);
-        assert_eq!(f.arith_directives[1].annotation, ArithAnnotation::Allow);
-        assert_eq!(f.arith_directives[1].target_line, 3);
-    }
-
-    #[test]
-    fn arith_directive_rejects_unknown_kind_and_missing_invariant() {
-        let unknown = scan("// aimq-arith: gauge -- hmm\nx: u64,");
-        assert_eq!(unknown.bad_directives.len(), 1);
-        let bare = scan("x += 1; // aimq-arith: allow");
-        assert_eq!(bare.bad_directives.len(), 1);
     }
 
     #[test]

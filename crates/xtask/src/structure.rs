@@ -1,12 +1,11 @@
 //! Structure-aware analysis over the flat token stream.
 //!
-//! The L5–L7 rule families need more than token matching: L5 must know
-//! *which* lock guards are live at a call site, L6 must attribute an
-//! atomic operation to the field it mutates, and L7 must see a file's
-//! cross-crate imports. This module recovers just enough structure from
-//! the [`ScannedFile`] token stream — brace-matched function bodies,
-//! guard scopes, receiver chains — without a real parser (the offline
-//! container cannot fetch `syn`).
+//! The L5 and L7 rule families need more than token matching: L5 must
+//! know *which* lock guards are live at a call site, and L7 must see a
+//! file's cross-crate imports. This module recovers just enough
+//! structure from the [`ScannedFile`] token stream — brace-matched
+//! function bodies, guard scopes, receiver chains — without a real
+//! parser (the offline container cannot fetch `syn`).
 //!
 //! The model is deliberately lexical and conservative:
 //!
@@ -23,12 +22,8 @@
 //!   `Condvar::wait`, channel `recv`, sleeps, zero-arg `.join()`) is a
 //!   violation, except the condvar idiom where the guard itself is the
 //!   `wait(..)` argument.
-//! - An **atomic op** is `.load(..)`/`.store(..)`/`fetch_*`/CAS with a
-//!   qualified `Ordering::<variant>` argument; the field is resolved
-//!   from the receiver chain, then from the surrounding statement, then
-//!   from an inline `aimq-atomic:` directive.
 
-use crate::source::{AtomicRole, LockAnnotation, ScannedFile, Token};
+use crate::source::{LockAnnotation, ScannedFile, Token};
 
 /// Free functions treated as lock acquisitions (the workspace's
 /// poison-recovering helpers in `storage::web` and `serve`).
@@ -49,44 +44,8 @@ pub const BLOCKING_CALLS: &[&str] = &[
 
 const LOCK_TYPES: &[&str] = &["Mutex", "RwLock"];
 
-const ATOMIC_TYPES: &[&str] = &[
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "AtomicPtr",
-];
-
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_nand",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
-
-/// Memory-ordering variants (discriminates `std::sync::atomic::Ordering`
-/// from `std::cmp::Ordering`, whose variants are Less/Equal/Greater).
-const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
 /// Generic wrappers a field type may route through between the field
-/// name and the lock/atomic type token.
+/// name and the lock type token.
 const TYPE_WRAPPERS: &[&str] = &["Arc", "Vec", "Box", "Option", "VecDeque", "Cell", "RefCell"];
 
 /// Keywords that precede `(` without being calls.
@@ -102,19 +61,6 @@ pub struct LockField {
     pub name: String,
     /// Declared family (from `aimq-lock: family(..)`), if any.
     pub family: Option<String>,
-    /// 1-based line of the field name.
-    pub line: usize,
-    /// 1-based column of the type token.
-    pub col: usize,
-}
-
-/// An atomic field (or binding) declaration.
-#[derive(Debug, Clone)]
-pub struct AtomicField {
-    /// Field name.
-    pub name: String,
-    /// Declared role (from `aimq-atomic: ..`), if any.
-    pub role: Option<AtomicRole>,
     /// 1-based line of the field name.
     pub line: usize,
     /// 1-based column of the type token.
@@ -164,23 +110,6 @@ pub struct BlockedHold {
     pub acquired_line: usize,
 }
 
-/// One atomic operation with explicit ordering arguments.
-#[derive(Debug, Clone)]
-pub struct AtomicOp {
-    /// Resolved field, when attribution succeeded.
-    pub field: Option<String>,
-    /// Role governing this op (field role, or inline directive).
-    pub role: Option<AtomicRole>,
-    /// Method name (`load`, `store`, `fetch_add`, ...).
-    pub method: String,
-    /// `Ordering::` variants appearing in the argument list.
-    pub orderings: Vec<String>,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
-}
-
 /// Everything the walk learned about one function.
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
@@ -196,11 +125,6 @@ pub struct FnFacts {
     pub blocking: Vec<BlockedHold>,
     /// Every callee identifier (deduplicated) — call-graph input.
     pub calls: Vec<String>,
-    /// Atomic operations with explicit orderings.
-    pub atomic_ops: Vec<AtomicOp>,
-    /// `true` when the body contains an Acquire/Release/AcqRel/SeqCst
-    /// atomic op or fence (licenses seqlock-role `Relaxed` sites).
-    pub has_sync_op: bool,
 }
 
 /// A `use aimq_*` / `aimq_*::` reference outside test code.
@@ -214,13 +138,11 @@ pub struct Import {
     pub col: usize,
 }
 
-/// Per-file structural facts consumed by the L5/L6/L7 checkers.
+/// Per-file structural facts consumed by the L5/L7 checkers.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
     /// Owned lock declarations.
     pub lock_fields: Vec<LockField>,
-    /// Atomic field declarations.
-    pub atomic_fields: Vec<AtomicField>,
     /// Non-test functions, in source order.
     pub functions: Vec<FnFacts>,
     /// Non-test cross-crate imports.
@@ -229,7 +151,7 @@ pub struct FileAnalysis {
 
 /// Analyze one scanned file.
 pub fn analyze(file: &ScannedFile) -> FileAnalysis {
-    let lock_fields = find_fields(file, LOCK_TYPES)
+    let lock_fields = find_fields(file)
         .into_iter()
         .map(|(name, line, col)| LockField {
             family: family_for(file, line),
@@ -238,24 +160,14 @@ pub fn analyze(file: &ScannedFile) -> FileAnalysis {
             col,
         })
         .collect::<Vec<_>>();
-    let atomic_fields = find_fields(file, ATOMIC_TYPES)
-        .into_iter()
-        .map(|(name, line, col)| AtomicField {
-            role: role_for(file, line),
-            name,
-            line,
-            col,
-        })
-        .collect::<Vec<_>>();
     let functions = find_functions(&file.tokens)
         .into_iter()
         .filter(|f| !file.in_test_region(file.tokens[f.body_start].offset))
-        .map(|f| walk_fn(file, &f, &lock_fields, &atomic_fields))
+        .map(|f| walk_fn(file, &f, &lock_fields))
         .collect();
     FileAnalysis {
         imports: find_imports(file),
         lock_fields,
-        atomic_fields,
         functions,
     }
 }
@@ -284,22 +196,15 @@ fn use_family_for(file: &ScannedFile, line: usize) -> Option<String> {
     })
 }
 
-fn role_for(file: &ScannedFile, line: usize) -> Option<AtomicRole> {
-    file.atomic_directives
-        .iter()
-        .find(|d| d.target_line == line)
-        .map(|d| d.role)
-}
-
-/// Find owned field/binding declarations of one of `types`: the type
+/// Find owned lock field/binding declarations: the type
 /// token must not be a path qualifier (`Mutex::new`), must not be
 /// borrowed (`&Mutex<T>`), and walking back over generic wrappers must
 /// land on `name :`.
-fn find_fields(file: &ScannedFile, types: &[&str]) -> Vec<(String, usize, usize)> {
+fn find_fields(file: &ScannedFile) -> Vec<(String, usize, usize)> {
     let toks = &file.tokens;
     let mut out = Vec::new();
     for (idx, t) in toks.iter().enumerate() {
-        if !t.is_ident || !types.contains(&t.text.as_str()) || file.in_test_region(t.offset) {
+        if !t.is_ident || !LOCK_TYPES.contains(&t.text.as_str()) || file.in_test_region(t.offset) {
             continue;
         }
         if toks.get(idx + 1).is_some_and(|n| n.text == ":") {
@@ -416,12 +321,7 @@ struct Guard {
     line: usize,
 }
 
-fn walk_fn(
-    file: &ScannedFile,
-    span: &FnSpan,
-    lock_fields: &[LockField],
-    atomic_fields: &[AtomicField],
-) -> FnFacts {
+fn walk_fn(file: &ScannedFile, span: &FnSpan, lock_fields: &[LockField]) -> FnFacts {
     let toks = &file.tokens;
     let mut facts = FnFacts {
         name: span.name.clone(),
@@ -529,31 +429,6 @@ fn walk_fn(
             }
         }
 
-        // Atomic operation with explicit orderings.
-        if prev_dot && ATOMIC_METHODS.contains(&t.text.as_str()) {
-            let orderings = orderings_in_parens(toks, i + 1);
-            if !orderings.is_empty() {
-                let (field, role) = resolve_atomic(file, toks, i, atomic_fields);
-                if orderings.iter().any(|o| o != "Relaxed") {
-                    facts.has_sync_op = true;
-                }
-                facts.atomic_ops.push(AtomicOp {
-                    field,
-                    role,
-                    method: t.text.clone(),
-                    orderings,
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-        }
-        if t.text == "fence" && !prev_dot {
-            let orderings = orderings_in_parens(toks, i + 1);
-            if orderings.iter().any(|o| o != "Relaxed") {
-                facts.has_sync_op = true;
-            }
-        }
-
         // Call-graph input for the interprocedural lock pass.
         if !is_fn_def {
             if !facts.calls.iter().any(|c| c == &t.text) {
@@ -639,41 +514,9 @@ fn idents_in_parens(toks: &[Token], open: usize) -> Vec<String> {
     idents
 }
 
-/// `Ordering::<variant>` tokens inside the balanced parens at `open`.
-fn orderings_in_parens(toks: &[Token], open: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut k = open;
-    while k < toks.len() {
-        match toks[k].text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "Ordering"
-                if toks.get(k + 1).is_some_and(|c| c.text == ":")
-                    && toks.get(k + 2).is_some_and(|c| c.text == ":")
-                    && toks
-                        .get(k + 3)
-                        .is_some_and(|v| ATOMIC_ORDERINGS.contains(&v.text.as_str())) =>
-            {
-                out.push(toks[k + 3].text.clone());
-                k += 3;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    out
-}
-
-/// Statement token range around `i`, bounded by `;`/`{`/`}` (and `,`
-/// when `comma_bounds`, for struct-literal fields).
-fn stmt_range(toks: &[Token], i: usize, floor: usize, comma_bounds: bool) -> (usize, usize) {
-    let boundary = |text: &str| matches!(text, ";" | "{" | "}") || (comma_bounds && text == ",");
+/// Statement token range around `i`, bounded by `;`/`{`/`}`.
+fn stmt_range(toks: &[Token], i: usize, floor: usize) -> (usize, usize) {
+    let boundary = |text: &str| matches!(text, ";" | "{" | "}");
     let mut start = i;
     while start > floor + 1 && !boundary(&toks[start - 1].text) {
         start -= 1;
@@ -719,7 +562,7 @@ fn resolve_family(
     if let Some(fam) = family_of(receiver_idents) {
         return Some(fam);
     }
-    let (s, e) = stmt_range(toks, i, fn_start, false);
+    let (s, e) = stmt_range(toks, i, fn_start);
     let stmt_idents: Vec<String> = toks[s..=e]
         .iter()
         .filter(|t| t.is_ident)
@@ -744,7 +587,7 @@ fn resolve_family(
             if !bound {
                 continue;
             }
-            let (bs, be) = stmt_range(toks, j, fn_start, false);
+            let (bs, be) = stmt_range(toks, j, fn_start);
             let idents: Vec<String> = toks[bs..=be]
                 .iter()
                 .filter(|t| t.is_ident)
@@ -763,7 +606,7 @@ fn resolve_family(
 /// binding name (guard lives to end of block) or marks a temporary
 /// (guard dies at the statement's `;`).
 fn binding_of(toks: &[Token], i: usize, fn_start: usize) -> (Option<String>, bool) {
-    let (s, _) = stmt_range(toks, i, fn_start, false);
+    let (s, _) = stmt_range(toks, i, fn_start);
     if toks[s].text == "let" {
         let mut k = s + 1;
         if toks.get(k).is_some_and(|t| t.text == "mut") {
@@ -774,45 +617,6 @@ fn binding_of(toks: &[Token], i: usize, fn_start: usize) -> (Option<String>, boo
         }
     }
     (None, true)
-}
-
-/// Resolve the atomic op at token `i` to a field and role.
-fn resolve_atomic(
-    file: &ScannedFile,
-    toks: &[Token],
-    i: usize,
-    atomic_fields: &[AtomicField],
-) -> (Option<String>, Option<AtomicRole>) {
-    // Inline role directive on the op's line wins outright.
-    if let Some(role) = role_for(file, toks[i].line) {
-        return (None, Some(role));
-    }
-    let pick = |idents: &[String]| -> Option<(String, Option<AtomicRole>)> {
-        let matches: Vec<&AtomicField> = atomic_fields
-            .iter()
-            .filter(|f| idents.iter().any(|r| r == &f.name))
-            .collect();
-        let first = matches.first()?;
-        // Several fields in scope resolve only when their roles agree.
-        if matches.iter().any(|f| f.role != first.role) {
-            return None;
-        }
-        Some((first.name.clone(), first.role))
-    };
-    let chain = receiver_chain(toks, i - 1);
-    if let Some((field, role)) = pick(&chain) {
-        return (Some(field), role);
-    }
-    let (s, e) = stmt_range(toks, i, 0, true);
-    let stmt_idents: Vec<String> = toks[s..=e]
-        .iter()
-        .filter(|t| t.is_ident)
-        .map(|t| t.text.clone())
-        .collect();
-    if let Some((field, role)) = pick(&stmt_idents) {
-        return (Some(field), role);
-    }
-    (None, None)
 }
 
 /// Collect `aimq*` crate references outside test code: `use aimq_x` or
@@ -864,21 +668,6 @@ fn make() { let m = Mutex::new(0); }\n";
         assert_eq!(a.lock_fields.len(), 1, "{:#?}", a.lock_fields);
         assert_eq!(a.lock_fields[0].name, "stripes");
         assert_eq!(a.lock_fields[0].family.as_deref(), Some("cache-stripe"));
-    }
-
-    #[test]
-    fn atomic_array_fields_are_found() {
-        let src = "\
-struct Cell {\n\
-    // aimq-atomic: seqlock -- version word\n\
-    version: AtomicU64,\n\
-    slots: [AtomicU64; 9],\n\
-}\n";
-        let a = analyze(&scan(src));
-        let names: Vec<&str> = a.atomic_fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["version", "slots"]);
-        assert_eq!(a.atomic_fields[0].role, Some(AtomicRole::Seqlock));
-        assert_eq!(a.atomic_fields[1].role, None);
     }
 
     #[test]
@@ -973,30 +762,6 @@ impl S {\n\
         assert_eq!(direct.family.as_deref(), Some("stripe"));
         let looped = &a.functions[1].acquisitions[0];
         assert_eq!(looped.family.as_deref(), Some("stripe"), "{looped:#?}");
-    }
-
-    #[test]
-    fn atomic_ops_resolve_fields_and_orderings() {
-        let src = "\
-struct C {\n\
-    // aimq-atomic: counter -- monotone tally\n\
-    hits: AtomicU64,\n\
-}\n\
-impl C {\n\
-    fn bump(&self) {\n\
-        self.hits.fetch_add(1, Ordering::Relaxed);\n\
-    }\n\
-    fn read(&self) -> u64 {\n\
-        self.hits.load(Ordering::Acquire)\n\
-    }\n\
-}\n";
-        let a = analyze(&scan(src));
-        let bump = &a.functions[0].atomic_ops[0];
-        assert_eq!(bump.field.as_deref(), Some("hits"));
-        assert_eq!(bump.role, Some(AtomicRole::Counter));
-        assert_eq!(bump.orderings, vec!["Relaxed"]);
-        assert!(!a.functions[0].has_sync_op);
-        assert!(a.functions[1].has_sync_op);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! crate mentions must have *every* variant named there as
 //! `Enum::Variant` — deleting a match arm (or absorbing a variant into
 //! a rewritten match) un-names it and fails the lint, complementing
-//! L9's wildcard ban. And every `Response::error(status, "code", ..)`
+//! clippy's `wildcard_enum_match_arm`. And every `Response::error(status, "code", ..)`
 //! call site must carry a string-literal machine code that appears,
 //! with the same status, in the DESIGN.md status-code table (anchored
 //! at the `| machine code | status |` header); table rows no call
@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::rules::{Finding, Severity};
-use crate::source::{ByteClass, ScannedFile, Token};
+use crate::source::{line_offsets, ByteClass, ScannedFile, Token};
 use crate::structure::find_functions;
 
 /// Fault enums whose variant coverage L12 audits at the HTTP boundary.
@@ -199,17 +199,6 @@ pub fn render_inventory(shapes: &[WireShape]) -> String {
 }
 
 // ---- L11: shape extraction ----
-
-/// Byte offset of the start of each 1-based line.
-fn line_offsets(text: &str) -> Vec<usize> {
-    let mut starts = vec![0usize];
-    for (i, b) in text.bytes().enumerate() {
-        if b == b'\n' {
-            starts.push(i + 1);
-        }
-    }
-    starts
-}
 
 fn line_col_at(starts: &[usize], offset: usize) -> (usize, usize) {
     let line = starts.partition_point(|&s| s <= offset);

@@ -1,4 +1,4 @@
-//! End-to-end runs of the concurrency and layering rules (L5–L7) over
+//! End-to-end runs of the lock and layering rules (L5, L7) over
 //! workspace-shaped fixture trees under `tests/fixtures/lint/`. Each
 //! violation fixture has a passing twin in which every finding is
 //! suppressed with a justified `aimq-lint: allow`.
@@ -81,44 +81,6 @@ fn l5_guard_held_across_probe_is_detected() {
 #[test]
 fn l5_probe_suppressed_twin_is_clean() {
     assert_clean("l5_probe_allow");
-}
-
-#[test]
-fn l6_unannotated_atomic_is_detected() {
-    let report = lint("l6_unannotated");
-    let errs = errors(&report);
-    assert!(!errs.is_empty());
-    assert!(errs.iter().all(|(rule, _)| *rule == "atomics-audit"));
-    assert!(
-        errs.iter()
-            .any(|(_, msg)| msg.contains("no role annotation")),
-        "{:#?}",
-        report.diagnostics
-    );
-}
-
-#[test]
-fn l6_unannotated_suppressed_twin_is_clean() {
-    assert_clean("l6_unannotated_allow");
-}
-
-#[test]
-fn l6_relaxed_flag_is_detected() {
-    let report = lint("l6_relaxed_flag");
-    let errs = errors(&report);
-    assert!(!errs.is_empty());
-    assert!(errs.iter().all(|(rule, _)| *rule == "atomics-audit"));
-    assert!(
-        errs.iter()
-            .any(|(_, msg)| msg.contains("`Ordering::Relaxed` on flag-role atomic")),
-        "{:#?}",
-        report.diagnostics
-    );
-}
-
-#[test]
-fn l6_relaxed_flag_suppressed_twin_is_clean() {
-    assert_clean("l6_relaxed_flag_allow");
 }
 
 #[test]

@@ -13,7 +13,9 @@
 )]
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
+pub mod atomics;
 pub mod hashmap;
+pub mod sync;
 pub mod wallclock;
 
 /// `.unwrap()` is flagged here too: the panic lints are denied in every

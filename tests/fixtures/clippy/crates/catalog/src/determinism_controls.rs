@@ -25,6 +25,6 @@ pub fn timed(d: Duration) -> (Duration, SystemTime) {
     let t0 = Instant::now();
     thread::sleep(d);
     std::thread::sleep(d);
-    let _ = std::time::Instant::now();
+    let _t1 = std::time::Instant::now();
     (t0.elapsed(), SystemTime::now())
 }

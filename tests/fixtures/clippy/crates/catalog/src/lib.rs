@@ -15,3 +15,4 @@
 
 pub mod determinism_controls;
 pub mod panics;
+pub mod results;

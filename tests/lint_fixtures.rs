@@ -7,11 +7,12 @@
 //! on the real repo: `catalog` and `afd` get the float-ordering and
 //! indexing rules.
 //!
-//! Panic-freedom, the hash-container ban and the wall-clock ban are
-//! clippy's. Their cases live in the compilable fixture at
-//! `tests/fixtures/clippy/` (run by CI's `check` job); the tests here
-//! pin their scope: which crate roots deny which lints, and what the
-//! root `clippy.toml` bans.
+//! Panic-freedom, the hash-container, wall-clock and raw-atomic bans
+//! and result discipline are clippy's and rustc's. Their cases live in
+//! the compilable fixture at `tests/fixtures/clippy/` (run by CI's
+//! `check` job); the tests here pin their scope: which crate roots deny
+//! which lints, what the root `clippy.toml` bans, and which lints the
+//! root `[workspace.lints]` denies.
 
 use std::path::{Path, PathBuf};
 
@@ -76,13 +77,17 @@ const PANIC_LINTS: [&str; 6] = [
     "clippy::unimplemented",
 ];
 
-/// The two lints that enforce the root `clippy.toml` bans.
-const DETERMINISM_LINTS: [&str; 2] = ["clippy::disallowed_methods", "clippy::disallowed_types"];
-
-/// Crates whose outputs feed sorted or replayed results. `catalog`
-/// (`Schema::by_name` is a `HashMap`) and `http` (sockets and load
-/// pacing run on real time) stay outside.
+/// Crates whose outputs feed sorted or replayed results. Their roots
+/// deny both `clippy.toml` bans. `catalog` (`Schema::by_name` is a
+/// `HashMap`) and `http` (sockets and load pacing run on real time)
+/// stay outside.
 const DETERMINISM_SCOPE: [&str; 6] = ["afd", "sim", "rock", "core", "serve", "storage"];
+
+/// Crates whose roots deny the `clippy.toml` type bans (hash containers
+/// and raw atomics): the determinism crates plus `http`, which has no
+/// hash container and shares its counters and flags through
+/// `aimq_storage::{Counter, Flag}`.
+const TYPE_BAN_SCOPE: [&str; 7] = ["afd", "sim", "rock", "core", "serve", "storage", "http"];
 
 fn read_repo_file(rel: &str) -> String {
     std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(rel))
@@ -118,13 +123,15 @@ fn library_crate_roots_deny_the_panic_and_determinism_lints() {
                 "crates/{crate_name}/src/lib.rs must deny `{lint}`: {denies:?}"
             );
         }
-        let in_scope = DETERMINISM_SCOPE.contains(crate_name);
-        for lint in DETERMINISM_LINTS {
+        for (lint, scope) in [
+            ("clippy::disallowed_methods", &DETERMINISM_SCOPE[..]),
+            ("clippy::disallowed_types", &TYPE_BAN_SCOPE[..]),
+        ] {
             assert_eq!(
                 denies.iter().any(|d| d == lint),
-                in_scope,
-                "crates/{crate_name}/src/lib.rs: `{lint}` must be denied exactly in the \
-                 determinism crates {DETERMINISM_SCOPE:?}: {denies:?}"
+                scope.contains(crate_name),
+                "crates/{crate_name}/src/lib.rs: `{lint}` must be denied exactly in \
+                 {scope:?}: {denies:?}"
             );
         }
     }
@@ -154,7 +161,14 @@ fn clippy_toml_bans_the_wall_clock_and_hash_containers() {
         );
     }
     let types = list("disallowed-types");
-    for path in ["std::collections::HashMap", "std::collections::HashSet"] {
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::sync::atomic::AtomicU64",
+        "std::sync::atomic::AtomicBool",
+        "std::sync::atomic::AtomicUsize",
+        "std::sync::atomic::AtomicU32",
+    ] {
         assert!(
             types.contains(&format!("path = \"{path}\"")),
             "clippy.toml must ban `{path}`: {types}"
@@ -173,14 +187,56 @@ fn clippy_toml_bans_the_wall_clock_and_hash_containers() {
 }
 
 #[test]
+fn workspace_lints_deny_the_result_discipline_stand_ins() {
+    // Result discipline is rustc's and clippy's: every crate inherits
+    // `[workspace.lints]`, so these levels are the rule.
+    let toml = read_repo_file("Cargo.toml");
+    let section = |name: &str| -> String {
+        let start = toml
+            .find(&format!("[{name}]"))
+            .unwrap_or_else(|| panic!("Cargo.toml has no `[{name}]` section"));
+        let rest = &toml[start + 1..];
+        rest[..rest.find("\n[").unwrap_or(rest.len())].to_string()
+    };
+    let rust = section("workspace.lints.rust");
+    let clippy = section("workspace.lints.clippy");
+    for (table, lint) in [
+        (&rust, "unused_must_use"),
+        (&clippy, "let_underscore_must_use"),
+        (&clippy, "unused_result_ok"),
+        (&clippy, "wildcard_enum_match_arm"),
+        (&clippy, "match_wildcard_for_single_variants"),
+    ] {
+        assert!(
+            table
+                .lines()
+                .any(|l| l.trim() == format!("{lint} = \"deny\"")),
+            "Cargo.toml [workspace.lints] must deny `{lint}`: {table}"
+        );
+    }
+}
+
+#[test]
 fn retired_rule_allows_are_rejected_as_unknown() {
-    // `panic`, `hashmap` and `wallclock` moved to clippy. A leftover
-    // directive naming them suppresses nothing, so it must fail the run
-    // rather than pass for a working suppression.
-    let retired = ["panic", "hashmap", "wallclock"];
+    // `panic`, `hashmap` and `wallclock` moved to clippy, `atomics-audit`
+    // and `counter-arith` became types, and `result-discipline` moved to
+    // rustc and clippy lints. A leftover directive naming them
+    // suppresses nothing, so it must fail the run rather than pass for a
+    // working suppression.
+    let retired = [
+        "panic",
+        "hashmap",
+        "wallclock",
+        "atomics-audit",
+        "result-discipline",
+        "counter-arith",
+    ];
     let src: String = retired
         .iter()
-        .map(|rule| format!("// aimq-lint: allow({rule}) -- leftover\nfn {rule}_site() {{}}\n"))
+        .map(|rule| {
+            let site = rule.replace('-', "_");
+            format!("// aimq-lint: allow({rule}) -- leftover\nfn {site}_site() {{}}\n")
+        })
         .collect();
     let mut report = LintReport::default();
     lint_file(&src, Path::new("crates/afd/src/x.rs"), &mut report);
